@@ -52,7 +52,6 @@ from .theory import (
     density_delta,
     density_ell,
     ipr_limit,
-    mean_ipr_conditional,
     mean_ipr_depletion_finite_N,
     mean_ipr_finite_N,
     orthogonal_joint_moment,

@@ -5,6 +5,9 @@ strictly increasing on ``[1, oo)`` and maps it onto ``[q!, (2q-1)!!)``:
 ``g(q, 1) = q!`` and ``g -> (2q-1)!!`` as ``x -> oo`` because the leading
 coefficient of ``L_q`` is ``binom(2q, q) / 2**q``.  `g_inverse` inverts the
 map numerically and `phi` is its derivative.
+
+Every function works elementwise: it takes a scalar or an array and returns
+the shape of its input, with a scalar giving a ``numpy.float64``.
 """
 
 from __future__ import annotations
@@ -36,22 +39,21 @@ def legendre_eval(q, x):
 
     Returns
     -------
-    float or ndarray
-        ``L_q(x)``, satisfying the generating-function identity
-        ``sum_q L_q(x) z**q = (1 - 2 x z + z**2)**(-1/2)``.
+    numpy.float64 or ndarray
+        ``L_q(x)`` with the shape of ``x``, satisfying the generating-function
+        identity ``sum_q L_q(x) z**q = (1 - 2 x z + z**2)**(-1/2)``.
     """
     q = int(q)
     if q < 0:
         raise ValueError(f"Legendre order must be >= 0, got {q}")
-    scalar = np.ndim(x) == 0
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if q == 0:
-        return float(prev) if scalar else prev
+        return prev[()]
     cur = x.copy()
     for n in range(1, q):
         prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
-    return float(cur) if scalar else cur
+    return cur[()]
 
 
 def _check_order(q):
@@ -61,64 +63,46 @@ def _check_order(q):
     return q
 
 
-def _scaled_pair(q, x):
+def _scaled_terms(q, x):
     # M_n(x) = L_n(x) / x**n, carried through the same three-term recurrence:
     # (n+1) M_{n+1} = (2n+1) M_n - (n / x**2) M_{n-1}.  Working on M_n keeps
-    # every intermediate O(1) for arbitrarily large x.  Accepts floats or
-    # arrays; plain-float input never touches numpy.
+    # every intermediate O(1) for arbitrarily large x.  Alongside it the
+    # deficit W_n = (2n-1)!!/n! - M_n obeys
+    # (n+1) W_{n+1} = (2n+1) W_n + (n/x**2) M_{n-1} with W_0 = W_1 = 0.  All
+    # its terms are positive, so q! * W_q evaluates the gap (2q-1)!! - g(q, x)
+    # to full relative precision even where g is flat.
+    # Returns (M_{q-1}, M_q, q! * W_q).
     inv2 = 1.0 / (x * x)
-    prev = cur = inv2**0  # 1 with the shape of x
+    mprev = mcur = np.ones_like(inv2)
+    w = np.zeros_like(inv2)
     for n in range(1, q):
-        prev, cur = cur, ((2 * n + 1) * cur - n * inv2 * prev) / (n + 1)
-    return prev, cur
-
-
-def _deficit(q, x):
-    # W_n = (2n-1)!!/n! - M_n obeys (n+1) W_{n+1} = (2n+1) W_n + (n/x**2) M_{n-1}
-    # with W_0 = W_1 = 0.  All terms are positive, so q! * W_q evaluates the
-    # gap (2q-1)!! - g(q, x) to full relative precision even where g is flat.
-    inv2 = 1.0 / (x * x)
-    mprev = mcur = inv2**0
-    w = 0.0 * inv2
-    for n in range(1, q):
+        t = n * inv2 * mprev
         mprev, mcur, w = (
             mcur,
-            ((2 * n + 1) * mcur - n * inv2 * mprev) / (n + 1),
-            ((2 * n + 1) * w + n * inv2 * mprev) / (n + 1),
+            ((2 * n + 1) * mcur - t) / (n + 1),
+            ((2 * n + 1) * w + t) / (n + 1),
         )
-    return factorial(q) * w
+    return mprev, mcur, factorial(q) * w
 
 
-def _g_scalar(q, x):
-    if x < 2.0:
-        return factorial(q) * _scaled_pair(q, x)[1]
-    return double_factorial_odd(q) - _deficit(q, x)
-
-
-def _phi_scalar(q, x):
-    mprev, mq = _scaled_pair(q, x)
-    return q * factorial(q) * (mprev - mq) / (x * (1.0 - x * x))
+def _phi_terms(q, x, mprev, mq):
+    # x L_{q-1} - L_q = x**q (M_{q-1} - M_q)
+    return q * factorial(q) * (mprev - mq) / (x * (1.0 - np.square(x)))
 
 
 def g(q, x):
     """The increasing map ``x -> q! * x**(-q) * L_q(x)`` on ``x >= 1``.
 
-    Returns values in ``[q!, (2q-1)!!)``; accepts scalar or ndarray ``x``.
-    Away from 1 the value crowds the ceiling ``(2q-1)!!``, so there it is
-    computed by subtracting the cancellation-free deficit, keeping the
-    forward error at half an ulp.
+    Returns values in ``[q!, (2q-1)!!)``.  Away from 1 the value crowds the
+    ceiling ``(2q-1)!!``, so there it is computed by subtracting the
+    cancellation-free deficit, keeping the forward error at half an ulp.
     """
     q = _check_order(q)
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x < 1.0:
-            raise ValueError("g is defined on x >= 1")
-        return _g_scalar(q, x)
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("g is defined on x >= 1")
-    _, mq = _scaled_pair(q, x)
-    return np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - _deficit(q, x))
+    _, mq, deficit = _scaled_terms(q, x)
+    return np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - deficit)[()]
 
 
 def phi(q, x):
@@ -128,68 +112,78 @@ def phi(q, x):
     the caller.
     """
     q = _check_order(q)
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x <= 1.0:
-            raise ValueError("phi is defined on x > 1")
-        return _phi_scalar(q, x)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise ValueError("phi is defined on x > 1")
-    mprev, mq = _scaled_pair(q, x)
-    # x L_{q-1} - L_q = x**q (M_{q-1} - M_q)
-    return q * factorial(q) * (mprev - mq) / (x * (1.0 - np.square(x)))
+    mprev, mq, _ = _scaled_terms(q, x)
+    return _phi_terms(q, x, mprev, mq)[()]
 
 
 def g_inverse(q, ell):
-    """The unique ``x >= 1`` with ``g(q, x) = ell``.
+    """The unique ``x >= 1`` with ``g(q, x) = ell``, element by element.
 
     Parameters
     ----------
     q : int
         Order in ``[2, MAX_ORDER]``.
-    ell : float
-        Target level, strictly inside ``(q!, (2q-1)!!)``.
+    ell : float or ndarray
+        Target level(s), each strictly inside ``(q!, (2q-1)!!)``.
 
     Returns
     -------
-    float
-        Root found by Newton iteration safeguarded with bisection, to
-        relative accuracy near machine precision.  The root is located on
-        the deficit ``(2q-1)!! - g(q, x)``, which is strictly decreasing to 0
-        and whose target is an exact subtraction near the upper limit.
+    numpy.float64 or ndarray
+        Roots with the shape of ``ell``, found by Newton iteration
+        safeguarded with bisection, to relative accuracy near machine
+        precision.  The root is located on the deficit
+        ``(2q-1)!! - g(q, x)``, which is strictly decreasing to 0 and whose
+        target is an exact subtraction near the upper limit.  Each element
+        follows its own iteration, so the result does not depend on how the
+        levels are batched.
     """
     q = _check_order(q)
-    ell = float(ell)
+    ell = np.asarray(ell, dtype=float)
     lo_val = factorial(q)
     hi_val = double_factorial_odd(q)
-    if not lo_val < ell < hi_val:
-        raise ValueError(f"level must lie in ({lo_val}, {hi_val}), got {ell}")
+    level = ell.ravel()
+    bad = ~((lo_val < level) & (level < hi_val))
+    if np.any(bad):
+        raise ValueError(f"level must lie in ({lo_val}, {hi_val}), got {level[bad][0]}")
 
-    r = hi_val - ell
-    lo, hi = 1.0, 2.0
-    while _deficit(q, hi) > r:
-        hi *= 2.0
-        if hi > _X_SEARCH_CAP:
+    r = hi_val - level
+    out = np.empty_like(r)
+    lo = np.ones_like(r)
+    hi = np.full_like(r, 2.0)
+    grow = _scaled_terms(q, hi)[2] > r
+    while np.any(grow):
+        hi[grow] *= 2.0
+        if np.any(hi > _X_SEARCH_CAP):
             raise ValueError(
-                f"level {ell} is too close to the upper limit {hi_val}; "
-                f"the preimage exceeds {_X_SEARCH_CAP:g}"
+                f"level {level[hi > _X_SEARCH_CAP][0]} is too close to the upper limit "
+                f"{hi_val}; the preimage exceeds {_X_SEARCH_CAP:g}"
             )
+        grow[grow] = _scaled_terms(q, hi[grow])[2] > r[grow]
+
+    # Converged elements leave the active set; the rest keep iterating.
+    active = np.arange(r.size)
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        fx = _deficit(q, x) - r
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        xn = None
-        if x > 1.0:
-            deriv = _phi_scalar(q, x)
-            if deriv > 0.0 and np.isfinite(deriv):
-                xn = x + fx / deriv
-        if xn is None or not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 4e-16 * xn:
-            return xn
-        x = xn
-    return x
+        if active.size == 0:
+            break
+        mprev, mq, deficit = _scaled_terms(q, x)
+        fx = deficit - r
+        right = fx > 0.0
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
+        inner = x > 1.0
+        deriv = np.zeros_like(x)
+        deriv[inner] = _phi_terms(q, x[inner], mprev[inner], mq[inner])
+        usable = (deriv > 0.0) & np.isfinite(deriv)
+        newton = x + np.divide(fx, deriv, out=np.zeros_like(x), where=usable)
+        bracketed = usable & (lo < newton) & (newton < hi)
+        xn = np.where(bracketed, newton, 0.5 * (lo + hi))
+        done = np.abs(xn - x) <= 4e-16 * xn
+        out[active[done]] = xn[done]
+        keep = ~done
+        active, x, lo, hi, r = active[keep], xn[keep], lo[keep], hi[keep], r[keep]
+    out[active] = x
+    return out.reshape(ell.shape)[()]

@@ -11,7 +11,12 @@ large-``N`` limit:
   centered normal of scale ``sqrt(1 - tau**2) / (2 y)`` conditioned to exceed
   1 (`density_S`, `cdf_S`, `sample_S`);
 * the limiting IPR level ``ell = g(q, S)``, supported on ``(q!, (2q-1)!!)``
-  (`density_ell`, `cdf_ell`, `sample_ell`).
+  (`density_ell`, `cdf_ell`, `sample_ell`).  ``g(q, S)`` is also the limiting
+  mean IPR conditioned on ``S = 1/(2 s t)``: the ``2q``-th absolute moment of
+  ``t*X + i*s*Y`` for independent standard Gaussians ``X, Y``.
+
+Densities and CDFs work elementwise: they take a scalar or an array and
+return the shape of their input, with a scalar giving a ``numpy.float64``.
 
 All functions take ``y`` as the *scaled* imaginary part (the eigenvalue is
 ``x + i y / sqrt(N)``), never the raw one.  Finite-size corrections are
@@ -29,7 +34,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .core import double_factorial_odd, factorial
-from .legendre import g, g_inverse, phi
+from .legendre import _check_order, g, g_inverse, phi
 
 __all__ = [
     "cdf_S",
@@ -38,7 +43,6 @@ __all__ = [
     "density_delta",
     "density_ell",
     "ipr_limit",
-    "mean_ipr_conditional",
     "mean_ipr_depletion_finite_N",
     "mean_ipr_finite_N",
     "orthogonal_joint_moment",
@@ -70,14 +74,9 @@ def density_delta(delta, y, tau):
     _check_y_tau(y, tau)
     v = 1.0 - tau * tau
     z_norm = math.sqrt(math.pi * v / 2.0) * float(erfcx(y * math.sqrt(2.0 / v)))
-    if np.ndim(delta) == 0:
-        d = float(delta)
-        if d <= 0.0:
-            return 0.0
-        return d * math.exp(-d * d / (2.0 * v)) / math.sqrt(d * d + 4.0 * y * y) / z_norm
     d = np.asarray(delta, dtype=float)
     body = d * np.exp(-np.square(d) / (2.0 * v)) / np.sqrt(np.square(d) + 4.0 * y * y)
-    return np.where(d > 0.0, body / z_norm, 0.0)
+    return np.where(d > 0.0, body / z_norm, 0.0)[()]
 
 
 def density_S(u, y, tau):
@@ -92,20 +91,15 @@ def density_S(u, y, tau):
     # exp(-2 y^2 u^2 / v) / (sqrt(pi v / (8 y^2)) erfc(z)), written so the
     # exponent is relative to the truncation point u = 1.
     norm = math.sqrt(math.pi * v / (8.0 * y * y)) * float(erfcx(z))
-    if np.ndim(u) == 0:
-        u = float(u)
-        if u <= 1.0:
-            return 0.0
-        return math.exp(-z * z * (u * u - 1.0)) / norm
     u = np.asarray(u, dtype=float)
-    body = np.exp(-z * z * (np.square(u) - 1.0))
-    return np.where(u > 1.0, body / norm, 0.0)
+    # Clamped at the truncation point so u < 1 cannot overflow the exponent.
+    body = np.exp(-z * z * (np.square(np.maximum(u, 1.0)) - 1.0))
+    return np.where(u > 1.0, body / norm, 0.0)[()]
 
 
 def cdf_S(u, y, tau):
     """CDF of the scale parameter ``S``, in closed form via erfc ratios."""
     _check_y_tau(y, tau)
-    scalar = np.ndim(u) == 0
     u = np.asarray(u, dtype=float)
     v = 1.0 - tau * tau
     z = y * math.sqrt(2.0 / v)
@@ -113,8 +107,7 @@ def cdf_S(u, y, tau):
     # P(S > u) = erfc(u z) / erfc(z), evaluated as an erfcx ratio so both
     # tails stay finite for large y.
     tail = erfcx(uc * z) / erfcx(z) * np.exp(-z * z * (np.square(uc) - 1.0))
-    out = np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)
-    return float(out) if scalar else out
+    return np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)[()]
 
 
 def sample_S(y, tau, rng, size=None):
@@ -176,30 +169,25 @@ def density_ell(q, ell, y, tau):
     support ``(q!, (2q-1)!!)``, and 0 outside.
     """
     _check_y_tau(y, tau)
-    scalar = np.ndim(ell) == 0
-    ell = np.atleast_1d(np.asarray(ell, dtype=float))
-    lo = factorial(int(q))
-    hi = double_factorial_odd(int(q))
+    q = _check_order(q)
+    ell = np.asarray(ell, dtype=float)
     out = np.zeros_like(ell)
-    inside = (ell > lo) & (ell < hi)
-    for i in np.flatnonzero(inside):
-        x = g_inverse(q, ell[i])
-        out[i] = density_S(x, y, tau) / abs(phi(q, x))
-    return float(out[0]) if scalar else out
+    inside = (ell > factorial(q)) & (ell < double_factorial_odd(q))
+    x = g_inverse(q, ell[inside])
+    out[inside] = density_S(x, y, tau) / np.abs(phi(q, x))
+    return out[()]
 
 
 def cdf_ell(q, ell, y, tau):
     """CDF of the limiting IPR level: ``cdf_S`` composed through ``g_inverse``."""
     _check_y_tau(y, tau)
-    scalar = np.ndim(ell) == 0
-    ell = np.atleast_1d(np.asarray(ell, dtype=float))
-    lo = factorial(int(q))
-    hi = double_factorial_odd(int(q))
+    q = _check_order(q)
+    ell = np.asarray(ell, dtype=float)
+    hi = double_factorial_odd(q)
     out = np.where(ell >= hi, 1.0, 0.0)
-    inside = (ell > lo) & (ell < hi)
-    for i in np.flatnonzero(inside):
-        out[i] = cdf_S(g_inverse(q, ell[i]), y, tau)
-    return float(out[0]) if scalar else out
+    inside = (ell > factorial(q)) & (ell < hi)
+    out[inside] = cdf_S(g_inverse(q, ell[inside]), y, tau)
+    return out[()]
 
 
 def orthogonal_joint_moment(N, k, j):
@@ -248,17 +236,6 @@ def mean_ipr_finite_N(N, q, s, t):
         for k in range(q + 1)
     )
     return _finite_n_prefactor(N, q) * total
-
-
-def mean_ipr_conditional(q, S):
-    """Limiting mean IPR conditioned on scale parameter ``S = 1/(2 s t) >= 1``.
-
-    Equals ``q! * S**(-q) * L_q(S) = g(q, S)``, the ``2q``-th absolute moment
-    of ``t*X + i*s*Y`` for independent standard Gaussians ``X, Y``.
-    """
-    if np.any(np.asarray(S) < 1.0):
-        raise ValueError("scale parameter must satisfy S >= 1")
-    return g(q, S)
 
 
 def ipr_limit(q, regime):

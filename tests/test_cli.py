@@ -55,6 +55,16 @@ class TestTheoryCommands:
         assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
         assert 0.0 <= vals[0] and vals[-1] <= 1.0
 
+    @pytest.mark.parametrize("command", ["theory-cdf", "theory-density"])
+    @pytest.mark.parametrize("q", ["1", "31"])
+    def test_rejects_order_outside_range(self, tmp_path, capsys, command, q):
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            [command, "--q", q, "--y", "1", "--grid", "0:2:3", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "order must be in" in err
+
     def test_sample_within_support(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(

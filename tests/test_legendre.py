@@ -151,3 +151,39 @@ class TestGInverse:
             g_inverse(2, 1.0)
         with pytest.raises(ValueError):
             g_inverse(2, 5.0)
+
+
+class TestGInverseHighPrecision:
+    # Reference roots of q! * x**(-q) * L_q(x) = ell at 60 significant digits,
+    # found by bisection on a bracket that owes nothing to g_inverse.
+    @staticmethod
+    def _mp_root(q, ell):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            target = mpmath.mpf(ell)
+            fac = mpmath.factorial(q)
+
+            def gq(x):
+                prev, cur = mpmath.mpf(1), x
+                for n in range(1, q):
+                    prev, cur = cur, ((2 * n + 1) * x * cur - n * prev) / (n + 1)
+                return fac * cur / x**q
+
+            lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+            while gq(hi) < target:
+                lo, hi = hi, 2 * hi
+            for _ in range(220):
+                mid = (lo + hi) / 2
+                if gq(mid) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            return float((lo + hi) / 2)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_near_both_ends(self, q):
+        fs = np.array([1e-14, 1e-12, 1e-9, 1e-6, 1e-3])
+        ells = np.concatenate([factorial(q) * (1 + fs), double_factorial_odd(q) * (1 - fs)])
+        got = g_inverse(q, ells)
+        ref = np.array([self._mp_root(q, e) for e in ells])
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)

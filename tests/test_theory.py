@@ -14,11 +14,12 @@ from eigipr import (
     double_factorial_odd,
     factorial,
     g,
+    g_inverse,
     ipr_limit,
-    mean_ipr_conditional,
     mean_ipr_depletion_finite_N,
     mean_ipr_finite_N,
     orthogonal_joint_moment,
+    phi,
     sample_S,
     sample_ell,
 )
@@ -85,6 +86,8 @@ class TestDensityS:
     def test_support(self):
         assert density_S(1.0, 1.0, 0.0) == 0.0
         assert density_S(0.5, 1.0, 0.0) == 0.0
+        # far below the truncation point at large y: 0 without an exp overflow
+        assert np.array_equal(density_S(np.array([0.0, 0.5, 1.0]), 30.0, 0.0), np.zeros(3))
         assert cdf_S(1.0, 1.0, 0.0) == 0.0
         assert cdf_S(0.3, 1.0, 0.0) == 0.0
         assert cdf_S(np.inf, 1.0, 0.0) == 1.0
@@ -196,6 +199,55 @@ class TestEllLaw:
         )
         assert d < 0.01
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_array_calls_match_elementwise_calls(self, q):
+        # A batched call must give the same bits as one 0-d call per point,
+        # which is how a per-point caller composes cdf_ell and density_ell.
+        lo, hi = factorial(q), double_factorial_odd(q)
+        ells = np.concatenate([[lo - 1.0, lo, hi, hi + 1.0],
+                               lo + (hi - lo) * np.array([1e-12, 0.1, 0.5, 0.9, 1 - 1e-12]),
+                               np.linspace(lo, hi, 41)[1:-1]])
+        inside = ells[(ells > lo) & (ells < hi)]
+        x = g_inverse(q, inside)
+        assert x.tobytes() == np.array([g_inverse(q, e) for e in inside]).tobytes()
+        for y, tau in [(0.3, 0.0), (1.0, 0.5)]:
+            cdf = np.where(ells >= hi, 1.0, 0.0)
+            dens = np.zeros_like(ells)
+            for i in np.flatnonzero((ells > lo) & (ells < hi)):
+                xi = g_inverse(q, ells[i])
+                cdf[i] = cdf_S(xi, y, tau)
+                dens[i] = density_S(xi, y, tau) / abs(phi(q, xi))
+            assert cdf_ell(q, ells, y, tau).tobytes() == cdf.tobytes()
+            assert density_ell(q, ells, y, tau).tobytes() == dens.tobytes()
+            assert np.array([cdf_ell(q, e, y, tau) for e in ells]).tobytes() == cdf.tobytes()
+            assert np.array([density_ell(q, e, y, tau) for e in ells]).tobytes() == dens.tobytes()
+            grid = ells[4:].reshape(-1, 2)
+            assert cdf_ell(q, grid, y, tau).shape == grid.shape
+            assert density_ell(q, grid, y, tau).shape == grid.shape
+        assert g_inverse(q, inside.reshape(-1, 1)).shape == (inside.size, 1)
+        scalar = g_inverse(q, inside[0])
+        assert type(scalar) is np.float64 and isinstance(scalar, float)
+
+    def test_no_point_in_support(self):
+        lo, hi = factorial(3), double_factorial_odd(3)
+        for ells, cdf in [
+            (np.array([]), np.array([])),
+            (np.array([0.0, lo - 1.0, lo]), np.zeros(3)),
+            (np.array([hi, hi + 1.0]), np.ones(2)),
+        ]:
+            assert np.array_equal(cdf_ell(3, ells, 1.0, 0.0), cdf)
+            assert np.array_equal(density_ell(3, ells, 1.0, 0.0), np.zeros_like(ells))
+        assert g_inverse(3, np.array([])).shape == (0,)
+        assert cdf_ell(3, hi + 1.0, 1.0, 0.0) == 1.0
+        assert cdf_ell(3, lo, 1.0, 0.0) == 0.0
+        assert density_ell(3, hi + 1.0, 1.0, 0.0) == 0.0
+        # the order is checked even when no point needs g_inverse
+        for q in (1, 31):
+            with pytest.raises(ValueError):
+                cdf_ell(q, np.array([0.0, 1e60]), 1.0, 0.0)
+            with pytest.raises(ValueError):
+                density_ell(q, np.array([0.0, 1e60]), 1.0, 0.0)
+
 
 class TestMoments:
     @pytest.mark.parametrize(
@@ -226,24 +278,21 @@ class TestMoments:
         vals = [mean_ipr_finite_N(n, 3, s, t) for n in (10, 100, 1000, 10_000)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         # S = 1/(2 s t) = 1.25; at N = 1e9 the prefactor deficit is ~2(q-1)q/N
-        assert mean_ipr_finite_N(10**9, 2, s, t) == pytest.approx(
-            mean_ipr_conditional(2, 1.25), abs=1e-8
-        )
-        assert mean_ipr_finite_N(10**9, 3, s, t) == pytest.approx(
-            mean_ipr_conditional(3, 1.25), abs=1e-7
-        )
+        assert mean_ipr_finite_N(10**9, 2, s, t) == pytest.approx(g(2, 1.25), abs=1e-8)
+        assert mean_ipr_finite_N(10**9, 3, s, t) == pytest.approx(g(3, 1.25), abs=1e-7)
 
     def test_mean_ipr_finite_N_rejects_bad_amplitudes(self):
         with pytest.raises(ValueError):
             mean_ipr_finite_N(100, 2, 0.9, 0.9)
 
     def test_mean_ipr_conditional_endpoints(self):
+        # the mean IPR conditioned on S is g(q, S)
         for q in (2, 3, 5):
-            assert mean_ipr_conditional(q, 1.0) == pytest.approx(factorial(q), rel=1e-13)
+            assert g(q, 1.0) == pytest.approx(factorial(q), rel=1e-13)
             top = double_factorial_odd(q)
-            assert mean_ipr_conditional(q, 1e6) == pytest.approx(top, rel=1e-4)
+            assert g(q, 1e6) == pytest.approx(top, rel=1e-4)
         with pytest.raises(ValueError):
-            mean_ipr_conditional(2, 0.99)
+            g(2, 0.99)
 
     def test_mean_ipr_conditional_mc_oracle(self):
         # E[(t^2 X^2 + s^2 Y^2)^q] for standard Gaussians X, Y
@@ -252,7 +301,7 @@ class TestMoments:
         xs, ys = rng.standard_normal((2, 1_000_000))
         vals = (t2 * xs**2 + s2 * ys**2) ** 2
         se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(mean_ipr_conditional(2, 1.25) - vals.mean()) < 3 * se
+        assert abs(g(2, 1.25) - vals.mean()) < 3 * se
 
     @pytest.mark.parametrize("q,regime,expect", [(2, "real_axis", 3), (2, "bulk", 2), (1, "real_axis", 1), (1, "bulk", 1), (4, "real_axis", 105)])
     def test_ipr_limit(self, q, regime, expect):
