@@ -5,10 +5,16 @@ matrix per trial, take its right eigenpairs, snap and conjugate-pair the
 spectrum (real ensembles), and emit one `EigRecord` per retained eigenvalue.
 Each trial owns an RNG stream derived from ``(seed, trial_index)``, so the
 output is identical for any worker count.
+
+Importing this module sets numpy's bundled OpenBLAS to one thread for the
+whole process (see `_pin_blas_threads`): the eigensolves then run one per
+pool worker instead of oversubscribing the cores, and their bits do not
+depend on the worker count or on which call came first.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +48,39 @@ REALNESS_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-9
 
 VALID_ORDERS = frozenset(range(2, 9))
+
+# Thread-count setter exported by the OpenBLAS that numpy wheels bundle
+# (scipy-openblas, 64-bit integer interface).
+_BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+def _pin_blas_threads():
+    """Set numpy's bundled OpenBLAS to one thread for the whole process.
+
+    ``eig`` and ``eigh`` return different bits at different OpenBLAS thread
+    counts, and the setter is process-wide, so the pin is made once, before
+    any pipeline call, and never undone.  Parallelism comes only from the
+    pipeline's worker pool.  When no loaded library exports the setter
+    (another BLAS, another OS) this logs at debug level and does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            setter = getattr(ctypes.CDLL(path), _BLAS_SET_THREADS)
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+        return
+    log.debug("no loaded library exports %s; BLAS threads left as they are", _BLAS_SET_THREADS)
+
+
+_pin_blas_threads()
 
 
 class RunError(RuntimeError):
@@ -96,6 +135,10 @@ def eig_right(mat):
     Returns ``(w, v, res)``: eigenvalues, unit-norm eigenvector columns, and
     per-pair residuals ``||G v - lam v||_2 / ||G||_F``.  For real input the
     eigenvalues come in conjugate pairs with conjugate eigenvectors.
+
+    The eigensolve runs on one OpenBLAS thread (pinned when this module is
+    imported), so a given matrix yields the same bits whether it is called
+    directly, from `spectrum_ipr_map`, or from any number of pool workers.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

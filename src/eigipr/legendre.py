@@ -108,15 +108,18 @@ def g(q, x):
 def phi(q, x):
     """Derivative of ``g(q, .)``: ``q*q!/(x**(q+1)(1-x**2)) * (x L_{q-1}(x) - L_q(x))``.
 
-    Defined for ``x > 1``; the removable singularity at ``x = 1`` is left to
-    the caller.
+    Defined for ``x >= 1``.  The singularity of the formula at ``x = 1`` is
+    removable, and there ``phi`` returns its limit ``g'(1) = q! q (q-1) / 2``.
     """
     q = _check_order(q)
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 1.0):
-        raise ValueError("phi is defined on x > 1")
+    if np.any(x < 1.0):
+        raise ValueError("phi is defined on x >= 1")
     mprev, mq, _ = _scaled_terms(q, x)
-    return _phi_terms(q, x, mprev, mq)[()]
+    out = np.full_like(x, factorial(q) * q * (q - 1) / 2.0)
+    inner = x > 1.0
+    out[inner] = _phi_terms(q, x[inner], mprev[inner], mq[inner])
+    return out[()]
 
 
 def g_inverse(q, ell):

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigipr
 from eigipr import (
+    EigRecord,
     EmpiricalDist,
     EnsembleSpec,
     InsufficientDataError,
@@ -14,13 +21,17 @@ from eigipr import (
     double_factorial_odd,
     eig_right,
     factorial,
+    ipr,
     ks_distance,
     mean_ipr_depletion_finite_N,
     mean_ipr_finite_N,
     realness_threshold,
+    sample,
     sample_elliptic,
     spectrum_ipr_map,
+    trial_rng,
 )
+from eigipr.experiments import RESIDUAL_RTOL
 
 
 def elliptic_config(n, tau, trials, seed, q_set=(2,), workers=1, **kw):
@@ -32,6 +43,15 @@ def elliptic_config(n, tau, trials, seed, q_set=(2,), workers=1, **kw):
         workers=workers,
         **kw,
     )
+
+
+def record_bits(records):
+    """Every field of every record as float64 bytes, for bitwise comparison."""
+    rows = [
+        [r.trial_id, r.idx, r.re_lambda, r.im_lambda, r.is_real_eig, r.residual, *r.ipr.values()]
+        for r in records
+    ]
+    return np.array(rows, dtype=float).tobytes()
 
 
 class TestEigRight:
@@ -102,6 +122,50 @@ class TestSpectrumIprMap:
         cfg1 = elliptic_config(40, 0.3, 12, seed=7, q_set=(2, 3), workers=1)
         cfg4 = elliptic_config(40, 0.3, 12, seed=7, q_set=(2, 3), workers=4)
         assert spectrum_ipr_map(cfg1) == spectrum_ipr_map(cfg4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnsembleSpec(kind="elliptic_real", N=256, tau=0.0),
+            # the induced sampler takes a square root through eigh
+            EnsembleSpec(kind="induced_ginibre", N=200, nu=3),
+        ],
+        ids=["elliptic", "induced"],
+    )
+    def test_bitwise_across_worker_counts_at_blas_size(self, spec):
+        # N=40 above never reaches OpenBLAS's threading thresholds; these do.
+        runs = [
+            spectrum_ipr_map(RunConfig(spec=spec, trials=4, q_set=(2, 3), seed=23, workers=w))
+            for w in (1, 2)
+        ]
+        assert runs[0] and record_bits(runs[0]) == record_bits(runs[1])
+
+    def test_public_layer_calls_reproduce_pipeline(self):
+        # The per-trial chain rebuilt from public calls on a thread pool, as a
+        # caller that times each layer would run it, must match bit for bit.
+        cfg = elliptic_config(200, 0.0, 4, seed=29, q_set=(2, 3), workers=2)
+
+        def trial(t):
+            mat = sample(cfg.spec, trial_rng(cfg.seed, t))
+            w, v, res = eig_right(mat)
+            assert res.max() <= RESIDUAL_RTOL
+            entries = realness_threshold(w, np.linalg.norm(mat, "fro"))
+            return [
+                EigRecord(
+                    trial_id=t,
+                    idx=idx,
+                    re_lambda=lam.real,
+                    im_lambda=lam.imag,
+                    is_real_eig=is_real,
+                    ipr={q: ipr(v[:, k], q) for q in cfg.q_set},
+                    residual=float(res[k]),
+                )
+                for idx, (lam, k, is_real) in enumerate(entries)
+            ]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rebuilt = [rec for recs in pool.map(trial, range(cfg.trials)) for rec in recs]
+        assert record_bits(rebuilt) == record_bits(spectrum_ipr_map(cfg))
 
     def test_records_well_formed(self):
         records = spectrum_ipr_map(elliptic_config(40, 0.0, 6, seed=11, q_set=(2, 4)))
@@ -245,3 +309,34 @@ class TestRunConfigValidation:
             RunConfig(spec=spec, trials=1, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, workers=0)
+
+
+class TestBlasThreads:
+    def test_import_pins_openblas_to_one_thread(self):
+        # A fresh interpreter, so no earlier call in this process can have set
+        # it, started with two OpenBLAS threads requested, so the pin must win.
+        probe = (
+            "import ctypes, eigipr\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    paths = sorted({l.split()[-1] for l in fh if 'openblas' in l.lower()})\n"
+            "for path in paths:\n"
+            "    get = getattr(ctypes.CDLL(path), 'scipy_openblas_get_num_threads64_', None)\n"
+            "    if get is not None:\n"
+            "        get.argtypes, get.restype = [], ctypes.c_int\n"
+            "        print(get())\n"
+            "        break\n"
+            "else:\n"
+            "    print('absent')\n"
+        )
+        src = str(Path(eigipr.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout.strip()
+        if out == "absent":
+            pytest.skip("numpy's BLAS exports no scipy_openblas_get_num_threads64_")
+        assert out == "1"

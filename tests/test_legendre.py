@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigipr import double_factorial_odd, factorial, g, g_inverse, legendre_eval, phi
+from eigipr import density_ell, double_factorial_odd, factorial, g, g_inverse, legendre_eval, phi
 
 
 def g2_closed(x):
@@ -116,11 +116,19 @@ class TestPhi:
             fd = (g(q, x + h) - g(q, x - h)) / (2.0 * h)
             assert phi(q, x) == pytest.approx(fd, rel=1e-6)
 
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            phi(2, 1.0)
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_removable_singularity_at_one(self, q):
+        # phi(q, 1) is the limit g'(1) = q! q (q-1) / 2, so the density of the
+        # IPR level stays finite one ulp above q!, where g_inverse can return 1.
+        assert phi(q, 1.0) == pytest.approx(phi(q, 1.0 + 1e-7), rel=1e-5)
+        assert np.array_equal(phi(q, np.array([1.0, 2.0])), [phi(q, 1.0), phi(q, 2.0)])
+        assert np.isfinite(density_ell(q, np.nextafter(factorial(q), np.inf), 1.0, 0.0))
+
+    def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             phi(2, 0.9)
+        with pytest.raises(ValueError):
+            phi(2, np.array([1.0, 0.9]))
 
 
 class TestGInverse:
