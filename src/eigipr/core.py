@@ -45,40 +45,49 @@ class EigRecord:
 
 
 def ipr(x, q):
-    """Inverse participation ratio of order `q`.
+    """Inverse participation ratio of order `q`, of one vector or of each row of a block.
 
     Parameters
     ----------
     x : array_like
-        Nonzero real or complex vector with finite entries.
+        Nonzero real or complex vector with finite entries, or a 2-D array
+        whose rows are such vectors.
     q : int
         Order, ``q >= 1``.  The ``q = 1`` functional is identically 1.
 
     Returns
     -------
-    float
-        ``N**(q-1) * sum(|x_i|**(2q)) / (sum(|x_i|**2))**q``, invariant under
-        scaling, entry permutation and global phase; lies in
-        ``[1, N**(q-1)]``.
+    float or ndarray
+        ``N**(q-1) * sum(|x_i|**(2q)) / (sum(|x_i|**2))**q`` over the last
+        axis: a `float` for a vector, one value per row for a block.  Each
+        value is invariant under scaling, entry permutation and global phase,
+        lies in ``[1, N**(q-1)]``, and has the same bits as the call on that
+        row alone.
     """
     q = int(q)
     if q < 1:
         raise ValueError(f"ipr order must be >= 1, got {q}")
-    x = np.ravel(np.asarray(x))
-    n = x.size
+    # C order whatever the caller's layout: numpy sums pairwise only along a
+    # contiguous inner loop, so each row then gets the bits of a 1-D call.
+    a = np.abs(np.asarray(x), order="C")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"ipr takes a vector or a 2-D block of row vectors, got shape {a.shape}")
+    n = a.shape[-1]
     if n == 0:
         raise ValueError("ipr of an empty vector")
-    a = np.abs(x)
-    amax = float(np.max(a)) if n else 0.0
-    if not np.isfinite(amax):
+    # One check over the row maxima: a NaN or inf entry makes its row's
+    # maximum non-finite, a zero row makes its maximum 0.
+    amax = a.max(axis=-1, keepdims=True)
+    if not amax.max() < np.inf:
         raise ValueError("ipr of a vector with non-finite entries")
-    if amax == 0.0:
+    if amax.min() == 0.0:
         raise ValueError("ipr of the zero vector")
     # Scale by the largest magnitude, then normalize, before raising to the
     # 2q-th power: extreme vectors neither overflow nor underflow.
     u = np.square(a / amax)
-    u /= np.sum(u)
-    return float(n) ** (q - 1) * float(np.sum(u**q))
+    u /= u.sum(axis=-1, keepdims=True)
+    out = float(n) ** (q - 1) * (u**q).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def uniform_sphere_sample(n, field, rng):

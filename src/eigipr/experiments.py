@@ -168,27 +168,26 @@ def realness_threshold(w, fro):
     """
     w = np.asarray(w)
     thr = REALNESS_RTOL * fro
-    out = []
-    pos, neg = [], []
-    for k in range(w.size):
-        if abs(w[k].imag) <= thr:
-            out.append((complex(w[k].real, 0.0), k, True))
-        elif w[k].imag > 0:
-            pos.append(k)
-        else:
-            neg.append(k)
-    if len(pos) != len(neg):
-        raise PairingError(f"{len(pos)} upper vs {len(neg)} lower half-plane eigenvalues")
+    re, im = w.real, w.imag
+    real = np.abs(im) <= thr
+    upper = ~real & (im > 0)
+    kept = real | upper
+    # A NaN imaginary part is neither real nor upper, so it counts as lower.
+    pos, neg = np.flatnonzero(upper), np.flatnonzero(~kept)
+    if pos.size != neg.size:
+        raise PairingError(f"{pos.size} upper vs {neg.size} lower half-plane eigenvalues")
+    # Stable sorts: upper by (re, im), lower by (re, -im), so partners line up.
+    pos = pos[np.lexsort((im[pos], re[pos]))]
+    neg = neg[np.lexsort((-im[neg], re[neg]))]
     match_tol = max(thr, 1e-12)
-    for kp, kn in zip(
-        sorted(pos, key=lambda k: (w[k].real, w[k].imag)),
-        sorted(neg, key=lambda k: (w[k].real, -w[k].imag)),
-    ):
-        if abs(w[kp] - w[kn].conjugate()) > match_tol * max(1.0, abs(w[kp])):
-            raise PairingError(f"eigenvalue {w[kp]} has no conjugate partner")
-        out.append((complex(w[kp]), kp, False))
-    out.sort(key=lambda item: item[1])
-    return out
+    gap = np.abs(w[pos] - w[neg].conjugate())
+    bad = np.flatnonzero(gap > match_tol * np.maximum(1.0, np.abs(w[pos])))
+    if bad.size:
+        raise PairingError(f"eigenvalue {w[pos[bad[0]]]} has no conjugate partner")
+    lam = w.astype(complex)
+    lam.imag[real] = 0.0
+    keep = np.flatnonzero(kept)
+    return list(zip(lam[keep].tolist(), keep.tolist(), real[keep].tolist()))
 
 
 def _run_trial(config, trial):
@@ -198,24 +197,24 @@ def _run_trial(config, trial):
     if res.max() > RESIDUAL_RTOL:
         raise np.linalg.LinAlgError(f"eigenpair residual {res.max():.3e} above contract")
     if np.iscomplexobj(mat):
-        entries = [(complex(w[k]), k, False) for k in range(w.size)]
+        entries = [(lam, k, False) for k, lam in enumerate(w.tolist())]
     else:
         entries = realness_threshold(w, np.linalg.norm(mat, "fro"))
-    records = []
-    for idx, (lam, k, is_real) in enumerate(entries):
-        vec = v[:, k]
-        records.append(
-            EigRecord(
-                trial_id=trial,
-                idx=idx,
-                re_lambda=lam.real,
-                im_lambda=lam.imag,
-                is_real_eig=is_real,
-                ipr={q: ipr(vec, q) for q in config.q_set},
-                residual=float(res[k]),
-            )
+    ks = [k for _, k, _ in entries]
+    # One block call per order over the kept eigenvector columns, as rows.
+    iprs = {q: ipr(v.T[ks], q).tolist() for q in config.q_set}
+    return [
+        EigRecord(
+            trial_id=trial,
+            idx=idx,
+            re_lambda=lam.real,
+            im_lambda=lam.imag,
+            is_real_eig=is_real,
+            ipr={q: col[idx] for q, col in iprs.items()},
+            residual=r,
         )
-    return records
+        for idx, ((lam, _, is_real), r) in enumerate(zip(entries, res[ks].tolist()))
+    ]
 
 
 def spectrum_ipr_map(config):

@@ -57,20 +57,22 @@ def write_records_csv(records, path, q_set=None):
     if q_set is None:
         q_set = sorted(records[0].ipr) if records else ()
     q_set = tuple(sorted(int(q) for q in q_set))
+    # The bytes csv.writer would write: it never quotes these fields.
+    line = ",".join(["{}", "{}", "{:.17g}", "{:.17g}", "{}"] + ["{:.17g}"] * (len(q_set) + 1)) + "\r\n"
     with _sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_record_header(q_set))
-        for rec in records:
-            row = [
+        fh.write(",".join(_record_header(q_set)) + "\r\n")
+        fh.writelines(
+            line.format(
                 rec.trial_id,
                 rec.idx,
-                _fmt(rec.re_lambda),
-                _fmt(rec.im_lambda),
+                rec.re_lambda,
+                rec.im_lambda,
                 1 if rec.is_real_eig else 0,
-            ]
-            row += [_fmt(rec.ipr[q]) for q in q_set]
-            row.append(_fmt(rec.residual))
-            writer.writerow(row)
+                *[rec.ipr[q] for q in q_set],
+                rec.residual,
+            )
+            for rec in records
+        )
 
 
 def read_records_csv(path):

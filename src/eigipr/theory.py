@@ -166,7 +166,8 @@ def density_ell(q, ell, y, tau):
     Obtained from the law of ``S`` by the change of variables through the
     increasing map ``g(q, .)``:
     ``density_S(g_inverse(q, ell)) / |phi(q, g_inverse(q, ell))|`` on the open
-    support ``(q!, (2q-1)!!)``, and 0 outside.
+    support ``(q!, (2q-1)!!)``, and 0 outside.  Where the root rounds to
+    ``S = 1``, ``density_S`` is taken as its right limit.
     """
     _check_y_tau(y, tau)
     q = _check_order(q)
@@ -174,7 +175,9 @@ def density_ell(q, ell, y, tau):
     out = np.zeros_like(ell)
     inside = (ell > factorial(q)) & (ell < double_factorial_odd(q))
     x = g_inverse(q, ell[inside])
-    out[inside] = density_S(x, y, tau) / np.abs(phi(q, x))
+    # Every inside level is above q!, so a root that rounds to exactly 1 is
+    # still in the closed support: take density_S's right limit there.
+    out[inside] = density_S(np.maximum(x, np.nextafter(1.0, 2.0)), y, tau) / np.abs(phi(q, x))
     return out[()]
 
 

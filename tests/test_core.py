@@ -69,6 +69,52 @@ class TestIpr:
             ipr([], 2)
 
 
+def _rows_bitwise_equal(block, q):
+    got = ipr(block, q)
+    ref = np.array([ipr(np.ascontiguousarray(row), q) for row in block])
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class TestIprBlock:
+    @pytest.mark.parametrize("n", [1, 2, 37, 400])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_rows_match_vector_calls_bitwise(self, n, complex_entries):
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((6, n))
+        if complex_entries:
+            block = block + 1j * rng.standard_normal((6, n))
+        block[1] *= 1e200
+        block[2] *= 1e-300
+        for q in range(1, 9):
+            assert _rows_bitwise_equal(block, q)
+
+    @pytest.mark.parametrize("n", [37, 400])
+    def test_any_layout_matches_vector_calls_bitwise(self, n):
+        # Eigenvectors are columns, so callers pass transposed (F-ordered) or
+        # strided views; each row must still be summed like a 1-D vector.
+        rng = np.random.default_rng(n + 1)
+        v = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        for block in (v.T, v[:, ::2].T, v.real.T):
+            for q in range(2, 9):
+                assert _rows_bitwise_equal(block, q)
+
+    def test_vector_returns_float(self):
+        assert type(ipr(np.arange(1.0, 5.0), 3)) is float
+        assert ipr(np.ones((3, 4)), 2).shape == (3,)
+
+    def test_domain_errors(self):
+        # One bad row fails the whole block.
+        for row in (np.zeros(5), [1, 1, np.nan, 1, 1], [1, 1, np.inf, 1, 1], [1, -np.inf, 1, 1, 1]):
+            block = np.ones((3, 5))
+            block[1] = row
+            with pytest.raises(ValueError):
+                ipr(block, 2)
+        with pytest.raises(ValueError):
+            ipr(np.ones((3, 0)), 2)
+        with pytest.raises(ValueError):
+            ipr(np.ones((2, 2, 2)), 2)
+
+
 class TestUniformSphere:
     def test_unit_norm(self):
         rng = np.random.default_rng(0)

@@ -31,7 +31,7 @@ from eigipr import (
     spectrum_ipr_map,
     trial_rng,
 )
-from eigipr.experiments import RESIDUAL_RTOL
+from eigipr.experiments import REALNESS_RTOL, RESIDUAL_RTOL
 
 
 def elliptic_config(n, tau, trials, seed, q_set=(2,), workers=1, **kw):
@@ -52,6 +52,38 @@ def record_bits(records):
         for r in records
     ]
     return np.array(rows, dtype=float).tobytes()
+
+
+def _pairing_loop(w, fro):
+    """The per-eigenvalue loop `realness_threshold` replaced, kept as its oracle."""
+    w = np.asarray(w)
+    thr = REALNESS_RTOL * fro
+    out = []
+    pos, neg = [], []
+    for k in range(w.size):
+        if abs(w[k].imag) <= thr:
+            out.append((complex(w[k].real, 0.0), k, True))
+        elif w[k].imag > 0:
+            pos.append(k)
+        else:
+            neg.append(k)
+    if len(pos) != len(neg):
+        raise PairingError(f"{len(pos)} upper vs {len(neg)} lower half-plane eigenvalues")
+    match_tol = max(thr, 1e-12)
+    for kp, kn in zip(
+        sorted(pos, key=lambda k: (w[k].real, w[k].imag)),
+        sorted(neg, key=lambda k: (w[k].real, -w[k].imag)),
+    ):
+        if abs(w[kp] - w[kn].conjugate()) > match_tol * max(1.0, abs(w[kp])):
+            raise PairingError(f"eigenvalue {w[kp]} has no conjugate partner")
+        out.append((complex(w[kp]), kp, False))
+    out.sort(key=lambda item: item[1])
+    return out
+
+
+def _typed(entries):
+    """Entries with every element's type and repr, so -0.0 and bool vs int count."""
+    return [tuple((type(x), repr(x)) for x in entry) for entry in entries]
 
 
 class TestEigRight:
@@ -116,6 +148,51 @@ class TestRealnessThreshold:
         with pytest.raises(PairingError):
             realness_threshold(np.array([1.0 + 2.0j, 5.0]), 1.0)
 
+    @pytest.mark.parametrize("n", [37, 100, 400])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.9])
+    def test_matches_loop_on_elliptic_spectra(self, n, tau):
+        rng = np.random.default_rng([n, int(10 * tau)])
+        for _ in range(2):
+            mat = sample_elliptic(n, tau, rng)
+            w = np.linalg.eigvals(mat)
+            fro = np.linalg.norm(mat, "fro")
+            assert _typed(realness_threshold(w, fro)) == _typed(_pairing_loop(w, fro))
+
+    def test_matches_loop_on_hand_built_spectra(self):
+        spectra = [
+            # tied real parts, pairs listed in different orders
+            [1 + 2j, 1 - 1j, 1 + 1j, 1 - 2j, 0.5, 1 + 3j, 1 - 3j],
+            # imaginary parts inside the snap threshold, of both signs and -0.0
+            [complex(2.0, -0.0), complex(-0.0, 1e-12), complex(3.0, -1e-12), -1 + 0.5j, -1 - 0.5j],
+            [complex(-0.0, 2.0), complex(-0.0, -2.0), complex(0.0, -0.0)],
+            # a real-valued spectrum (eig returns a float array when all roots are real)
+            np.array([3.0, -0.0, -1.0]),
+            # conjugates off by less than the pairing tolerance
+            [1 + 2j, complex(1 + 1e-13, -2.0), 4.0],
+        ]
+        for w in spectra:
+            w = np.asarray(w)
+            got = realness_threshold(w, 100.0)
+            assert _typed(got) == _typed(_pairing_loop(w, 100.0))
+        assert [k for _, k, _ in realness_threshold(np.asarray(spectra[0]), 100.0)] == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "w, match",
+        [
+            ([1.0 + 2.0j, 5.0], "1 upper vs 0 lower half-plane eigenvalues"),
+            # a NaN imaginary part counts as lower half-plane
+            ([complex(1.0, np.nan), 5.0], "0 upper vs 1 lower half-plane eigenvalues"),
+            ([1.0 + 2.0j, 1.0 - 2.1j, 3.0 + 1.0j, 3.0 - 1.0j], r"eigenvalue \(1\+2j\) has no conjugate partner"),
+        ],
+    )
+    def test_pairing_errors_match_loop(self, w, match):
+        w = np.asarray(w)
+        with pytest.raises(PairingError) as loop_err:
+            _pairing_loop(w, 1.0)
+        with pytest.raises(PairingError, match=match) as err:
+            realness_threshold(w, 1.0)
+        assert str(err.value) == str(loop_err.value)
+
 
 class TestSpectrumIprMap:
     def test_deterministic_across_worker_counts(self):
@@ -143,7 +220,7 @@ class TestSpectrumIprMap:
     def test_public_layer_calls_reproduce_pipeline(self):
         # The per-trial chain rebuilt from public calls on a thread pool, as a
         # caller that times each layer would run it, must match bit for bit.
-        cfg = elliptic_config(200, 0.0, 4, seed=29, q_set=(2, 3), workers=2)
+        cfg = elliptic_config(200, 0.0, 4, seed=29, q_set=(2, 3, 4, 8), workers=2)
 
         def trial(t):
             mat = sample(cfg.spec, trial_rng(cfg.seed, t))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,22 @@ def make_record(trial, idx, re, im, q_set=(2, 3)):
     )
 
 
+def csv_writer_reference(records, q_set):
+    """The csv.writer loop that `write_records_csv` replaced, kept as its byte oracle."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["trial", "idx", "re_lambda", "im_lambda", "is_real"] + [f"ipr_q{q}" for q in q_set] + ["residual"]
+    )
+    for rec in records:
+        row = [rec.trial_id, rec.idx, format(float(rec.re_lambda), ".17g"), format(float(rec.im_lambda), ".17g")]
+        row.append(1 if rec.is_real_eig else 0)
+        row += [format(float(rec.ipr[q]), ".17g") for q in q_set]
+        row.append(format(float(rec.residual), ".17g"))
+        writer.writerow(row)
+    return fh.getvalue()
+
+
 class TestRecordsCsv:
     def test_zero_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -40,6 +59,24 @@ class TestRecordsCsv:
         path = tmp_path / "r.csv"
         write_records_csv(records, path)
         assert read_records_csv(path) == records
+
+    def test_bytes_match_csv_writer(self, tmp_path, capsys):
+        q_set = (2, 3, 8)
+        records = [
+            make_record(0, 0, -0.0, 0.0, q_set),
+            make_record(7, 1, 5e-324, -0.0, q_set),
+            make_record(2**62, 2, 1e-300, 1e300, q_set),
+            make_record(10**20, 3, -1.0 / 3.0, 2.0 / 3.0, q_set),
+        ]
+        records[1].ipr[3] = 5e-324
+        records[2].residual = -0.0
+        expected = csv_writer_reference(records, q_set)
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path, q_set=q_set)
+        assert path.read_bytes() == expected.encode("utf-8")
+        capsys.readouterr()
+        write_records_csv(records, "-", q_set=q_set)
+        assert capsys.readouterr().out == expected
 
     def test_partial_file_removed_on_failure(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -228,6 +228,20 @@ class TestEllLaw:
         scalar = g_inverse(q, inside[0])
         assert type(scalar) is np.float64 and isinstance(scalar, float)
 
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_density_continuous_at_lower_edge(self, q):
+        # One ulp above q! the root S can round to exactly 1; the density there
+        # is the right limit density_S(1+) / g'(1).  At y = 1, tau = 0, S is a
+        # normal of sd 1/2 truncated to S > 1, and g'(1) = q! q (q - 1) / 2.
+        sd = 0.5
+        dens_s = math.exp(-2.0) / (sd * math.sqrt(2 * math.pi)) / (0.5 * erfc(math.sqrt(2.0)))
+        limit = dens_s / (factorial(q) * q * (q - 1) / 2)
+        lo = factorial(q)
+        assert density_ell(q, np.nextafter(lo, np.inf), 1.0, 0.0) == pytest.approx(limit, rel=1e-12)
+        # A level 1e-12 above q! agrees only to about eps / (S - 1) ~ 1e-3,
+        # the cancellation in phi's formula near S = 1.
+        assert density_ell(q, lo * (1 + 1e-12), 1.0, 0.0) == pytest.approx(limit, rel=5e-3)
+
     def test_no_point_in_support(self):
         lo, hi = factorial(3), double_factorial_odd(3)
         for ells, cdf in [
