@@ -3,8 +3,12 @@ r"""Legendre polynomials and the monotone map from scale parameter to IPR level.
 For integer order ``q >= 2`` the map ``g(q, x) = q! * x**(-q) * L_q(x)`` is
 strictly increasing on ``[1, oo)`` and maps it onto ``[q!, (2q-1)!!)``:
 ``g(q, 1) = q!`` and ``g -> (2q-1)!!`` as ``x -> oo`` because the leading
-coefficient of ``L_q`` is ``binom(2q, q) / 2**q``.  `g_inverse` inverts the
-map numerically and `phi` is its derivative.
+coefficient of ``L_q`` is ``binom(2q, q) / 2**q``.  ``x**(-q) L_q(x)`` has only
+even powers of ``1/x``, so in ``w = x**-2`` the map is a polynomial of degree
+``q // 2`` that falls from ``(2q-1)!!`` at ``w = 0`` to ``q!`` at ``w = 1``.
+`g_inverse` inverts it by safeguarded Newton iteration in ``w`` on the fixed
+bracket ``[0, 1]``, and `phi`, the derivative in ``x``, is ``2 x**-3`` times
+its slope in ``w``.
 
 Every function works elementwise: it takes a scalar or an array and returns
 the shape of its input, with a scalar giving a ``numpy.float64``.
@@ -21,10 +25,6 @@ __all__ = ["MAX_ORDER", "g", "g_inverse", "legendre_eval", "phi"]
 # Largest order for which q! and the recurrence coefficients stay well inside
 # exact double-precision range.
 MAX_ORDER = 30
-
-# Bracket-expansion ceiling for g_inverse: beyond this the target is closer
-# to (2q-1)!! than double precision can resolve.
-_X_SEARCH_CAP = 1e8
 
 
 def legendre_eval(q, x):
@@ -63,31 +63,31 @@ def _check_order(q):
     return q
 
 
-def _scaled_terms(q, x):
-    # M_n(x) = L_n(x) / x**n, carried through the same three-term recurrence:
-    # (n+1) M_{n+1} = (2n+1) M_n - (n / x**2) M_{n-1}.  Working on M_n keeps
-    # every intermediate O(1) for arbitrarily large x.  Alongside it the
-    # deficit W_n = (2n-1)!!/n! - M_n obeys
-    # (n+1) W_{n+1} = (2n+1) W_n + (n/x**2) M_{n-1} with W_0 = W_1 = 0.  All
-    # its terms are positive, so q! * W_q evaluates the gap (2q-1)!! - g(q, x)
-    # to full relative precision even where g is flat.
-    # Returns (M_{q-1}, M_q, q! * W_q).
-    inv2 = 1.0 / (x * x)
-    mprev = mcur = np.ones_like(inv2)
-    w = np.zeros_like(inv2)
+def _scaled_terms(q, w):
+    # In w = x**-2, M_n(w) = L_n(x) / x**n obeys the three-term recurrence
+    # (n+1) M_{n+1} = (2n+1) M_n - n w M_{n-1}, with M_0 = M_1 = 1: a
+    # polynomial of degree n // 2 whose values stay O(1) for every x >= 1.
+    # Alongside it the deficit W_n = (2n-1)!!/n! - M_n obeys
+    # (n+1) W_{n+1} = (2n+1) W_n + n w M_{n-1} with W_0 = W_1 = 0.  All its
+    # terms are positive, so q! * W_q evaluates the gap (2q-1)!! - g(q, x) to
+    # full relative precision even where g is flat.  Differentiating in w,
+    # with dM_n/dw = -dW_n/dw, gives the slope
+    # (n+1) W'_{n+1} = (2n+1) W'_n + n (M_{n-1} - w W'_{n-1}); its subtraction
+    # cancels at most about half of the first term, so the slope keeps nearly
+    # full relative precision on all of [0, 1], w = 1 included.
+    # Returns (M_q, q! * W_q, q! * dW_q/dw).
+    mprev = mcur = np.ones_like(w)
+    dprev = dcur = wcur = np.zeros_like(w)
     for n in range(1, q):
-        t = n * inv2 * mprev
-        mprev, mcur, w = (
+        t = n * w * mprev
+        mprev, mcur, wcur, dprev, dcur = (
             mcur,
             ((2 * n + 1) * mcur - t) / (n + 1),
-            ((2 * n + 1) * w + t) / (n + 1),
+            ((2 * n + 1) * wcur + t) / (n + 1),
+            dcur,
+            ((2 * n + 1) * dcur + n * (mprev - w * dprev)) / (n + 1),
         )
-    return mprev, mcur, factorial(q) * w
-
-
-def _phi_terms(q, x, mprev, mq):
-    # x L_{q-1} - L_q = x**q (M_{q-1} - M_q)
-    return q * factorial(q) * (mprev - mq) / (x * (1.0 - np.square(x)))
+    return mcur, factorial(q) * wcur, factorial(q) * dcur
 
 
 def g(q, x):
@@ -101,25 +101,25 @@ def g(q, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("g is defined on x >= 1")
-    _, mq, deficit = _scaled_terms(q, x)
+    mq, deficit, _ = _scaled_terms(q, 1.0 / (x * x))
     return np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - deficit)[()]
 
 
 def phi(q, x):
     """Derivative of ``g(q, .)``: ``q*q!/(x**(q+1)(1-x**2)) * (x L_{q-1}(x) - L_q(x))``.
 
-    Defined for ``x >= 1``.  The singularity of the formula at ``x = 1`` is
-    removable, and there ``phi`` returns its limit ``g'(1) = q! q (q-1) / 2``.
+    Defined for ``x >= 1``.  It is evaluated as ``2 x**-3 dD/dw``, the chain
+    rule through ``w = x**-2`` applied to the deficit ``D(w) = (2q-1)!! - g``,
+    whose slope is a polynomial in ``w``.  The singularity of the formula
+    above at ``x = 1`` is removable, so ``w = 1`` is a regular point and
+    ``phi(q, 1) = g'(1) = q! q (q-1) / 2`` with no special case.
     """
     q = _check_order(q)
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("phi is defined on x >= 1")
-    mprev, mq, _ = _scaled_terms(q, x)
-    out = np.full_like(x, factorial(q) * q * (q - 1) / 2.0)
-    inner = x > 1.0
-    out[inner] = _phi_terms(q, x[inner], mprev[inner], mq[inner])
-    return out[()]
+    w = 1.0 / (x * x)
+    return (2.0 * w / x * _scaled_terms(q, w)[2])[()]
 
 
 def g_inverse(q, ell):
@@ -135,13 +135,18 @@ def g_inverse(q, ell):
     Returns
     -------
     numpy.float64 or ndarray
-        Roots with the shape of ``ell``, found by Newton iteration
-        safeguarded with bisection, to relative accuracy near machine
-        precision.  The root is located on the deficit
-        ``(2q-1)!! - g(q, x)``, which is strictly decreasing to 0 and whose
-        target is an exact subtraction near the upper limit.  Each element
-        follows its own iteration, so the result does not depend on how the
-        levels are batched.
+        Roots with the shape of ``ell``, to relative accuracy near machine
+        precision.  The root is found in ``w = x**-2``, where the deficit
+        ``D(w) = (2q-1)!! - g`` is a polynomial increasing from ``D(0) = 0``
+        to ``D(1) = (2q-1)!! - q!``, so every root lies in the fixed bracket
+        ``[0, 1]``.  Its target ``(2q-1)!! - ell`` is an exact subtraction
+        near the upper limit.  Newton iteration starts from the chord
+        through both ends of the bracket, which is already the root for
+        ``q = 2, 3`` where ``D`` is linear, and falls back to bisection
+        whenever a step leaves the shrinking bracket.  Any level below
+        ``(2q-1)!!`` has a finite root ``x = w**-1/2``.  Each element follows
+        its own iteration, so the result does not depend on how the levels
+        are batched.
     """
     q = _check_order(q)
     ell = np.asarray(ell, dtype=float)
@@ -154,39 +159,27 @@ def g_inverse(q, ell):
 
     r = hi_val - level
     out = np.empty_like(r)
-    lo = np.ones_like(r)
-    hi = np.full_like(r, 2.0)
-    grow = _scaled_terms(q, hi)[2] > r
-    while np.any(grow):
-        hi[grow] *= 2.0
-        if np.any(hi > _X_SEARCH_CAP):
-            raise ValueError(
-                f"level {level[hi > _X_SEARCH_CAP][0]} is too close to the upper limit "
-                f"{hi_val}; the preimage exceeds {_X_SEARCH_CAP:g}"
-            )
-        grow[grow] = _scaled_terms(q, hi[grow])[2] > r[grow]
-
+    lo = np.zeros_like(r)
+    hi = np.ones_like(r)
+    w = r / (hi_val - lo_val)
     # Converged elements leave the active set; the rest keep iterating.
     active = np.arange(r.size)
-    x = 0.5 * (lo + hi)
     for _ in range(200):
         if active.size == 0:
             break
-        mprev, mq, deficit = _scaled_terms(q, x)
-        fx = deficit - r
-        right = fx > 0.0
-        lo = np.where(right, x, lo)
-        hi = np.where(right, hi, x)
-        inner = x > 1.0
-        deriv = np.zeros_like(x)
-        deriv[inner] = _phi_terms(q, x[inner], mprev[inner], mq[inner])
-        usable = (deriv > 0.0) & np.isfinite(deriv)
-        newton = x + np.divide(fx, deriv, out=np.zeros_like(x), where=usable)
-        bracketed = usable & (lo < newton) & (newton < hi)
-        xn = np.where(bracketed, newton, 0.5 * (lo + hi))
-        done = np.abs(xn - x) <= 4e-16 * xn
-        out[active[done]] = xn[done]
+        _, deficit, slope = _scaled_terms(q, w)
+        fw = deficit - r
+        right = fw > 0.0
+        lo = np.where(right, lo, w)
+        hi = np.where(right, w, hi)
+        newton = w - fw / slope
+        # A zero residual is the root; otherwise a step onto a bracket end
+        # would repeat an earlier iterate, so it bisects instead.
+        bracketed = (fw == 0.0) | ((lo < newton) & (newton < hi))
+        wn = np.where(bracketed, newton, 0.5 * (lo + hi))
+        done = np.abs(wn - w) <= 4e-16 * wn
+        out[active[done]] = wn[done]
         keep = ~done
-        active, x, lo, hi, r = active[keep], xn[keep], lo[keep], hi[keep], r[keep]
-    out[active] = x
-    return out.reshape(ell.shape)[()]
+        active, w, lo, hi, r = active[keep], wn[keep], lo[keep], hi[keep], r[keep]
+    out[active] = w
+    return (1.0 / np.sqrt(out)).reshape(ell.shape)[()]

@@ -89,6 +89,14 @@ class TestTheoryCommands:
         assert report["bulk_limit"] == 2.0
         assert report["real_axis_limit"] == 3.0
 
+    def test_mean_report_in_narrow_peak_at_one(self, capsys):
+        # 2y / sqrt(1 - tau**2) ~ 700: S crowds 1 within ~2e-6, and the mean
+        # must still sit at or above the bulk limit q! = 2.
+        code, out, _ = run_cli(["theory-mean", "--q", "2", "--y", "50", "--tau", "0.99"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert 2.0 <= report["mean_limit"] < 2.001
+
 
 class TestSampleSpectrum:
     def test_records_csv_header_and_roundtrip(self, tmp_path, capsys):

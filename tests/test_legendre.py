@@ -124,6 +124,13 @@ class TestPhi:
         assert np.array_equal(phi(q, np.array([1.0, 2.0])), [phi(q, 1.0), phi(q, 2.0)])
         assert np.isfinite(density_ell(q, np.nextafter(factorial(q), np.inf), 1.0, 0.0))
 
+    def test_closed_forms_next_to_one(self):
+        # w = x**-2 = 1 is a regular point of the slope, so next to it phi keeps
+        # full precision instead of dividing a cancelling difference by x - 1.
+        x = 1 + 3.3e-13
+        assert phi(3, x) == pytest.approx(18.0 / x**3, rel=1e-13)
+        assert phi(4, x) == pytest.approx((180.0 * x**2 - 36.0) / x**5, rel=1e-13)
+
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             phi(2, 0.9)
@@ -159,6 +166,37 @@ class TestGInverse:
             g_inverse(2, 1.0)
         with pytest.raises(ValueError):
             g_inverse(2, 5.0)
+
+
+class TestBatchingBitwise:
+    # cdf_ell and density_ell are compared bit for bit with one 0-d
+    # g_inverse and phi call per point, so batching must not move a bit.
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_array_calls_match_0d_calls(self, q):
+        lo, hi = factorial(q), double_factorial_odd(q)
+        ells = np.concatenate([
+            [np.nextafter(lo, np.inf), np.nextafter(hi, 0.0)],
+            lo * (1 + np.array([1e-14, 1e-9])),
+            hi * (1 - np.array([1e-14, 1e-9])),
+            np.linspace(lo, hi, 26)[1:-1],
+        ])
+        x = g_inverse(q, ells)
+        assert x.tobytes() == np.array([g_inverse(q, e) for e in ells]).tobytes()
+        grid = ells.reshape(2, -1)
+        assert g_inverse(q, grid).tobytes() == x.tobytes()
+        assert g_inverse(q, grid).shape == grid.shape
+        xs = np.concatenate([[1.0, np.nextafter(1.0, 2.0)], x])
+        p = phi(q, xs)
+        assert p.tobytes() == np.array([phi(q, v) for v in xs]).tobytes()
+        assert phi(q, xs[2:].reshape(2, -1)).tobytes() == p[2:].tobytes()
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_one_ulp_below_upper_limit_has_finite_root(self, q):
+        top = double_factorial_odd(q)
+        ell = np.nextafter(top, 0.0)
+        x = g_inverse(q, ell)
+        assert np.isfinite(x) and x > 1e7
+        assert g(q, x) == pytest.approx(ell, rel=1e-15)
 
 
 class TestGInverseHighPrecision:

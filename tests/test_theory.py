@@ -1,10 +1,16 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+import eigipr
 from eigipr import (
     cdf_S,
     cdf_ell,
@@ -238,9 +244,10 @@ class TestEllLaw:
         limit = dens_s / (factorial(q) * q * (q - 1) / 2)
         lo = factorial(q)
         assert density_ell(q, np.nextafter(lo, np.inf), 1.0, 0.0) == pytest.approx(limit, rel=1e-12)
-        # A level 1e-12 above q! agrees only to about eps / (S - 1) ~ 1e-3,
-        # the cancellation in phi's formula near S = 1.
-        assert density_ell(q, lo * (1 + 1e-12), 1.0, 0.0) == pytest.approx(limit, rel=5e-3)
+        # 1e-12 above q!, S - 1 is about 2e-12 / (q (q - 1)), so the density
+        # is within about 1e-12 of its limit, and phi keeps full precision
+        # that close to S = 1.
+        assert density_ell(q, lo * (1 + 1e-12), 1.0, 0.0) == pytest.approx(limit, rel=1e-9)
 
     def test_no_point_in_support(self):
         lo, hi = factorial(3), double_factorial_odd(3)
@@ -326,7 +333,51 @@ class TestMoments:
             ipr_limit(2, "edge")
 
 
+@functools.cache
+def _mp_inverse_moments(y, tau):
+    # E[S**(-2k)] for k = 0..4 at 30 digits, by mpmath quadrature in u on
+    # breakpoints scaled to the law's width near S = 1: min(sigma, sigma**2).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        sigma = mpmath.sqrt(1 - mpmath.mpf(tau) ** 2) / (2 * mpmath.mpf(y))
+        width = min(sigma, sigma**2)
+        pts = [1 + width * c for c in (0, 1, 10, 100)] + [mpmath.inf]
+
+        def weight(u):
+            return mpmath.exp(-(u * u - 1) / (2 * sigma**2))
+
+        norm = mpmath.quad(weight, pts)
+        return [mpmath.quad(lambda u: weight(u) / u ** (2 * k), pts) / norm for k in range(5)]
+
+
+def _mp_depletion_mean(N, q, y, tau):
+    # g(q, S) = q!/2**q sum_k (-1)**k C(q, k) C(2q - 2k, q) S**(-2k), the
+    # Legendre expansion of q! S**-q L_q(S), integrated term by term.
+    mpmath = pytest.importorskip("mpmath")
+    m = _mp_inverse_moments(y, tau)
+    with mpmath.workdps(30):
+        mean = sum(
+            mpmath.factorial(q) / 2**q * (-1) ** k * mpmath.binomial(q, k) * mpmath.binomial(2 * q - 2 * k, q) * m[k]
+            for k in range(q // 2 + 1)
+        )
+        if N != math.inf:
+            mean *= mpmath.mpf(N) ** q / mpmath.fprod(N + 2 * i for i in range(q))
+        return float(mean)
+
+
 class TestDepletionMean:
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("y", [0.02, 0.3, 1.0, 5.0, 50.0, 300.0])
+    def test_against_high_precision_oracle(self, y, tau):
+        # Large 2y / sqrt(1 - tau**2) crowds S at 1 in a peak of width
+        # sigma**2; the mean must stay between the two limits, not collapse.
+        for N in (math.inf, 400):
+            for q in range(2, 9):
+                pref = 1.0 if N == math.inf else math.prod(N / (N + 2 * i) for i in range(q))
+                got = mean_ipr_depletion_finite_N(N, q, y, tau)
+                assert got == pytest.approx(_mp_depletion_mean(N, q, y, tau), rel=1e-10)
+                assert factorial(q) * pref <= got <= double_factorial_odd(q) * pref
+
     def test_limit_is_prefactor_free_integral(self):
         val_inf = mean_ipr_depletion_finite_N(math.inf, 2, 0.5, 0.0)
         integral, _ = quad(lambda u: g(2, u) * density_S(u, 0.5, 0.0), 1, 50, limit=200)
@@ -345,3 +396,23 @@ class TestDepletionMean:
         for y in (0.1, 1.0, 10.0):
             v = mean_ipr_depletion_finite_N(math.inf, 2, y, 0.0)
             assert 2.0 < v < 3.0
+
+
+class TestImportCost:
+    def test_import_leaves_out_integrate_and_optimize(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+        # about a third of a fresh process's import and warm-up time.
+        probe = (
+            "import sys, eigipr\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        )
+        src = str(Path(eigipr.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout.strip()
+        assert out == "[]"
