@@ -63,7 +63,7 @@ def _check_order(q):
     return q
 
 
-def _scaled_terms(q, w):
+def _scaled_terms(q, w, slope):
     # In w = x**-2, M_n(w) = L_n(x) / x**n obeys the three-term recurrence
     # (n+1) M_{n+1} = (2n+1) M_n - n w M_{n-1}, with M_0 = M_1 = 1: a
     # polynomial of degree n // 2 whose values stay O(1) for every x >= 1.
@@ -75,19 +75,28 @@ def _scaled_terms(q, w):
     # (n+1) W'_{n+1} = (2n+1) W'_n + n (M_{n-1} - w W'_{n-1}); its subtraction
     # cancels at most about half of the first term, so the slope keeps nearly
     # full relative precision on all of [0, 1], w = 1 included.
-    # Returns (M_q, q! * W_q, q! * dW_q/dw).
+    # Returns (M_q, q! * W_q, q! * dW_q/dw); the slope is None, and its
+    # recurrence is skipped, unless asked for.
     mprev = mcur = np.ones_like(w)
     dprev = dcur = wcur = np.zeros_like(w)
     for n in range(1, q):
+        if slope:
+            dprev, dcur = dcur, ((2 * n + 1) * dcur + n * (mprev - w * dprev)) / (n + 1)
         t = n * w * mprev
-        mprev, mcur, wcur, dprev, dcur = (
+        mprev, mcur, wcur = (
             mcur,
             ((2 * n + 1) * mcur - t) / (n + 1),
             ((2 * n + 1) * wcur + t) / (n + 1),
-            dcur,
-            ((2 * n + 1) * dcur + n * (mprev - w * dprev)) / (n + 1),
         )
-    return mcur, factorial(q) * wcur, factorial(q) * dcur
+    return mcur, factorial(q) * wcur, factorial(q) * dcur if slope else None
+
+
+def _inverse_square(x):
+    # w = x**-2.  x * x overflows to inf above about 1.3e154; the w = 0 that
+    # follows gives g and phi the same values as the true w, whose terms are
+    # far below an ulp of (2q-1)!! and underflow against x**-3.
+    with np.errstate(over="ignore"):
+        return 1.0 / (x * x)
 
 
 def g(q, x):
@@ -101,7 +110,7 @@ def g(q, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("g is defined on x >= 1")
-    mq, deficit, _ = _scaled_terms(q, 1.0 / (x * x))
+    mq, deficit, _ = _scaled_terms(q, _inverse_square(x), slope=False)
     return np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - deficit)[()]
 
 
@@ -118,8 +127,8 @@ def phi(q, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
         raise ValueError("phi is defined on x >= 1")
-    w = 1.0 / (x * x)
-    return (2.0 * w / x * _scaled_terms(q, w)[2])[()]
+    w = _inverse_square(x)
+    return (2.0 * w / x * _scaled_terms(q, w, slope=True)[2])[()]
 
 
 def g_inverse(q, ell):
@@ -167,7 +176,7 @@ def g_inverse(q, ell):
     for _ in range(200):
         if active.size == 0:
             break
-        _, deficit, slope = _scaled_terms(q, w)
+        _, deficit, slope = _scaled_terms(q, w, slope=True)
         fw = deficit - r
         right = fw > 0.0
         lo = np.where(right, lo, w)

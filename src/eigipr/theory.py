@@ -23,14 +23,20 @@ All functions take ``y`` as the *scaled* imaginary part (the eigenvalue is
 available through `mean_ipr_finite_N` and `mean_ipr_depletion_finite_N`.
 Normalizing constants are evaluated with the scaled complementary error
 function ``erfcx`` so that large ``y`` neither overflows nor cancels.
+
+``scipy.special`` is imported inside the functions that need it
+(`density_delta`, `density_S`, `cdf_S` and `mean_ipr_depletion_finite_N`,
+and through them `density_ell` and `cdf_ell`), on their first call.  The
+samplers, `mean_ipr_finite_N`, `orthogonal_joint_moment` and `ipr_limit` need
+no scipy, so a run that only samples matrices never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import erfcx, expit, log_expit, log_ndtr, ndtri_exp
 
 from .core import double_factorial_odd, factorial
 from .legendre import _check_order, g, g_inverse, phi
@@ -70,6 +76,8 @@ def density_delta(delta, y, tau):
     with normalizer ``sqrt(pi (1-tau**2) / 2) * exp(2 y**2 / (1-tau**2)) *
     erfc(y sqrt(2 / (1-tau**2)))``; it vanishes on ``delta <= 0``.
     """
+    from scipy.special import erfcx
+
     _check_y_tau(y, tau)
     v = 1.0 - tau * tau
     z_norm = math.sqrt(math.pi * v / 2.0) * float(erfcx(y * math.sqrt(2.0 / v)))
@@ -84,6 +92,8 @@ def density_S(u, y, tau):
     ``S`` is a centered Gaussian of variance ``(1 - tau**2) / (4 y**2)``
     conditioned on being greater than 1; the density vanishes on ``u <= 1``.
     """
+    from scipy.special import erfcx
+
     _check_y_tau(y, tau)
     v = 1.0 - tau * tau
     z = y * math.sqrt(2.0 / v)
@@ -98,6 +108,8 @@ def density_S(u, y, tau):
 
 def cdf_S(u, y, tau):
     """CDF of the scale parameter ``S``, in closed form via erfc ratios."""
+    from scipy.special import erfcx
+
     _check_y_tau(y, tau)
     u = np.asarray(u, dtype=float)
     v = 1.0 - tau * tau
@@ -257,14 +269,23 @@ def ipr_limit(q, regime):
     raise ValueError(f"regime must be 'real_axis' or 'bulk', got {regime!r}")
 
 
-# Tanh-sinh rule on the survival probability p in (0, 1) of the scale
-# parameter: p = expit(pi sinh t) at t = k h, |k| <= 70, h = 0.05, with
-# weights dp/dt * h.  The outermost nodes sit about 2e-23 from either end, so
-# the truncated mass is far below double precision.
-_TS_T = 0.05 * np.arange(-70, 71)
-_TS_A = np.pi * np.sinh(_TS_T)
-_TS_LOG_P = log_expit(_TS_A)
-_TS_WEIGHT = 0.05 * np.pi * np.cosh(_TS_T) * expit(_TS_A) * expit(-_TS_A)
+@functools.cache
+def _tanh_sinh_rule():
+    # Tanh-sinh rule on the survival probability p in (0, 1) of the scale
+    # parameter: p = expit(pi sinh t) at t = k h, |k| <= 70, h = 0.05, with
+    # weights dp/dt * h.  The outermost nodes sit about 2e-23 from either
+    # end, so the truncated mass is far below double precision.  Built once,
+    # on first use, so that importing this module does not load scipy; the
+    # cached arrays are read-only because every call shares them.
+    # Returns (log p, weight).
+    from scipy.special import expit, log_expit
+
+    t = 0.05 * np.arange(-70, 71)
+    a = np.pi * np.sinh(t)
+    log_p = log_expit(a)
+    weight = 0.05 * np.pi * np.cosh(t) * expit(a) * expit(-a)
+    log_p.flags.writeable = weight.flags.writeable = False
+    return log_p, weight
 
 
 def mean_ipr_depletion_finite_N(N, q, y, tau):
@@ -286,8 +307,11 @@ def mean_ipr_depletion_finite_N(N, q, y, tau):
     ``tau`` up to 0.99 the relative error is below ``1e-10``.  Up to rounding
     the value lies between ``q!`` and ``(2q-1)!!`` times the prefactor.
     """
+    from scipy.special import log_ndtr, ndtri_exp
+
     _check_y_tau(y, tau)
     q = _check_order(q)
     sigma = _sigma(y, tau)
-    u = -sigma * ndtri_exp(_TS_LOG_P + log_ndtr(-1.0 / sigma))
-    return _finite_n_prefactor(N, q) * float(_TS_WEIGHT @ g(q, np.maximum(u, 1.0)))
+    log_p, weight = _tanh_sinh_rule()
+    u = -sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma))
+    return _finite_n_prefactor(N, q) * float(weight @ g(q, np.maximum(u, 1.0)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eigipr import density_ell, double_factorial_odd, factorial, g, g_inverse, legendre_eval, phi
+from eigipr.legendre import _scaled_terms
 
 
 def g2_closed(x):
@@ -87,6 +88,21 @@ class TestG:
         vals = g(q, xs)
         assert np.all(np.diff(vals) > 0)
 
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_bits_match_full_recurrence(self, q):
+        # g skips the slope recurrence; M_q and the deficit keep their bits.
+        x = np.concatenate([[1.0, np.nextafter(1.0, 2.0), 2.0], np.geomspace(1.0, 1e6, 2001)])
+        mq, deficit, _ = _scaled_terms(q, 1.0 / (x * x), slope=True)
+        full = np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - deficit)
+        assert g(q, x).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_huge_argument_reaches_ceiling(self, q):
+        # x * x overflows past about 1.3e154; that must neither warn nor move g.
+        top = double_factorial_odd(q)
+        assert g(q, 1e200) == top
+        assert np.array_equal(g(q, np.array([1e200, 1e300, np.inf])), [top] * 3)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             g(2, 0.5)
@@ -130,6 +146,11 @@ class TestPhi:
         x = 1 + 3.3e-13
         assert phi(3, x) == pytest.approx(18.0 / x**3, rel=1e-13)
         assert phi(4, x) == pytest.approx((180.0 * x**2 - 36.0) / x**5, rel=1e-13)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_huge_argument_is_flat(self, q):
+        assert phi(q, 1e200) == 0.0
+        assert np.array_equal(phi(q, np.array([1e200, 1e300, np.inf])), [0.0] * 3)
 
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -398,6 +398,20 @@ class TestDepletionMean:
             assert 2.0 < v < 3.0
 
 
+def _fresh_python(probe):
+    # Runs probe in a new interpreter that imports eigipr from this checkout;
+    # returns its stdout.
+    src = str(Path(eigipr.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.strip()
+
+
 class TestImportCost:
     def test_import_leaves_out_integrate_and_optimize(self):
         # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
@@ -406,13 +420,39 @@ class TestImportCost:
             "import sys, eigipr\n"
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
         )
-        src = str(Path(eigipr.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        ).stdout.strip()
-        assert out == "[]"
+        assert _fresh_python(probe) == "[]"
+
+    def test_scipy_waits_for_first_law_evaluation(self, tmp_path):
+        # scipy.special costs more than numpy itself to import; the matrix
+        # pipeline never needs it, so only evaluating a law may load it.
+        probe = (
+            "import sys\n"
+            "import eigipr, eigipr.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(loaded())\n"
+            "argv = ['sample-spectrum', '--ensemble', 'elliptic', '--N', '8', '--trials', '2',\n"
+            f"        '--seed', '1', '--q', '2,3', '--out', {str(tmp_path / 'r.csv')!r}]\n"
+            "assert eigipr.cli.main(argv) == 0\n"
+            "print(loaded())\n"
+            "eigipr.cdf_ell(3, 10.0, 1.0, 0.0)\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        assert _fresh_python(probe).splitlines() == ["[]", "[]", "True"]
+        assert (tmp_path / "r.csv").stat().st_size > 0
+
+    def test_values_do_not_depend_on_when_scipy_loads(self):
+        laws = (
+            "import numpy as np\n"
+            "from eigipr import cdf_S, density_S, density_delta, mean_ipr_depletion_finite_N\n"
+            "u = np.array([0.5, 1.0, 1.2, 2.0, 7.5])\n"
+            "print(repr([mean_ipr_depletion_finite_N(N, q, y, 0.3)\n"
+            "            for N in (50, math.inf) for q in (2, 5) for y in (0.05, 1.0, 40.0)]))\n"
+            "for y in (0.05, 1.0, 40.0):\n"
+            "    print(repr([f(u, y, 0.3).tolist() for f in (cdf_S, density_S)]),\n"
+            "          repr(density_delta(u - 1.0, y, 0.3).tolist()), repr(cdf_S(1.7, y, 0.0)))\n"
+        )
+        eager = _fresh_python("import math, scipy.special, eigipr\n" + laws)
+        lazy = _fresh_python("import math, sys, eigipr\nassert 'scipy' not in sys.modules\n" + laws)
+        assert eager == lazy
+        assert len(eager.splitlines()) == 4
