@@ -83,10 +83,13 @@ def ipr(x, q):
     if amax.min() == 0.0:
         raise ValueError("ipr of the zero vector")
     # Scale by the largest magnitude, then normalize, before raising to the
-    # 2q-th power: extreme vectors neither overflow nor underflow.
-    u = np.square(a / amax)
+    # 2q-th power: extreme vectors neither overflow nor underflow.  The later
+    # steps reuse `u` in place, with the bits of the out-of-place expressions.
+    u = a / amax
+    np.square(u, out=u)
     u /= u.sum(axis=-1, keepdims=True)
-    out = float(n) ** (q - 1) * (u**q).sum(axis=-1)
+    u **= q
+    out = float(n) ** (q - 1) * u.sum(axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -49,6 +49,12 @@ RESIDUAL_RTOL = 1e-9
 
 VALID_ORDERS = frozenset(range(2, 9))
 
+# Entries per block of synthetic eigenvectors in `convergence_study`: enough
+# rows to spread numpy's per-call cost, few enough that a block's temporaries
+# (128 KiB for the complex block) stay in cache and add well under 1 MB to
+# the peak heap.  Sizes compared in BENCH_conv_block.json.
+_BLOCK_ENTRIES = 8192
+
 # Thread-count setter exported by the OpenBLAS that numpy wheels bundle
 # (scipy-openblas, 64-bit integer interface).
 _BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
@@ -326,28 +332,37 @@ def ks_distance(dist, cdf):
 def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     """Mean and spread of synthetic-eigenvector IPRs across dimensions.
 
-    For each ``N`` in ascending ``n_list``, draws ``trials`` synthetic
+    For each ``N`` in ascending ``n_list``, draws ``trials >= 2`` synthetic
     eigenvectors (scale parameter resampled per trial, or fixed mixing
     amplitudes when ``st=(s, t)`` is given) and reports the sample mean and
-    standard deviation next to the exact finite-``N`` mean.
+    standard deviation next to the exact finite-``N`` mean.  Vectors are
+    drawn in blocks of ``max(1, 8192 // N)`` rows, with the generator
+    consumed and each IPR computed bit for bit as one vector at a time.
     """
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be ascending")
+    trials = int(trials)
+    if trials < 2:
+        raise ValueError(f"convergence_study needs trials >= 2 for a spread, got {trials}")
+    # The exact means first: they validate q and (y, tau) or (s, t) before
+    # any vector is sampled.
+    if st is None:
+        targets = [theory.mean_ipr_depletion_finite_N(n, q, y, tau) for n in n_list]
+    else:
+        s, t = st
+        targets = [theory.mean_ipr_finite_N(n, q, s, t) for n in n_list]
     rows = []
-    for n in n_list:
+    for n, target in zip(n_list, targets):
         vals = np.empty(trials)
-        if st is None:
-            for k in range(trials):
-                vec, _ = schur.synthetic_eigvec_sample(n, y, tau, rng)
-                vals[k] = ipr(vec, q)
-            target = theory.mean_ipr_depletion_finite_N(n, q, y, tau)
-        else:
-            s, t = st
-            for k in range(trials):
-                o1, o2 = schur.sample_stiefel_pair(n, rng)
-                vals[k] = ipr(schur.eigvec_from_block(s, t, o1, o2), q)
-            target = theory.mean_ipr_finite_N(n, q, s, t)
+        step = max(1, _BLOCK_ENTRIES // n)
+        for k in range(0, trials, step):
+            size = min(step, trials - k)
+            if st is None:
+                vecs, _ = schur.synthetic_eigvec_sample(n, y, tau, rng, size=size)
+            else:
+                vecs = schur.eigvec_from_block(s, t, *schur.sample_stiefel_pair(n, rng, size=size))
+            vals[k : k + size] = ipr(vecs, q)
         std = float(vals.std(ddof=1))
         rows.append(
             {

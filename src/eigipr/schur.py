@@ -136,27 +136,62 @@ def st_from_S(S):
     Inverts ``S = 1/(2 s t)`` under ``s**2 + t**2 = 1``:
     ``s**2 = (1 + sqrt(1 - S**-2)) / 2``.  ``t`` is computed as
     ``1 / (2 S s)`` so the round trip is exact; ``S = 1`` returns
-    ``(1/sqrt(2), 1/sqrt(2))`` with no negative square root from round-off.
+    ``(1/sqrt(2), 1/sqrt(2))``; for ``S >= 1`` the rounded ``S * S`` is at
+    least 1, so the first square root never sees a negative number.  ``S``
+    may be an array, with ``s`` and ``t`` computed elementwise.
     """
-    if S < 1.0:
-        raise ValueError(f"scale parameter must satisfy S >= 1, got {S}")
-    r = math.sqrt(max(1.0 - 1.0 / (S * S), 0.0))
-    s = math.sqrt(0.5 * (1.0 + r))
-    return s, 1.0 / (2.0 * S * s)
+    S = np.asarray(S, dtype=float)
+    if not S.min() >= 1.0:
+        raise ValueError(f"scale parameter must satisfy S >= 1, got {S.min()}")
+    r = np.sqrt(1.0 - 1.0 / (S * S))
+    s = np.sqrt(0.5 * (1.0 + r))
+    t = 1.0 / (2.0 * S * s)
+    return (s, t) if S.ndim else (float(s), float(t))
 
 
-def sample_stiefel_pair(n, rng):
-    """Uniform orthonormal pair ``(O1, O2)`` in dimension ``n >= 2``.
+def _rowdot(a, b):
+    """Dot product of each row of ``a`` with the same row of ``b``.
 
-    Gram-Schmidt applied to two iid standard Gaussian vectors.
+    numpy runs a ``(1, n) @ (n, 1)`` matmul through the BLAS dot of
+    ``np.dot``, so each value has the bits of the 1-D call on that row.
     """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _gram_schmidt(g):
+    """Orthonormal pair ``(O1, O2)`` from each ``(2, n)`` row of a Gaussian block, in place.
+
+    Returns the views ``g[:, 0]`` and ``g[:, 1]``; in-place arithmetic keeps
+    the bits of the out-of-place expressions and allocates no new block.
+    """
+    o1, o2 = g[:, 0], g[:, 1]
+    o1 /= np.sqrt(_rowdot(o1, o1))[:, None]
+    o2 -= _rowdot(o1, o2)[:, None] * o1
+    o2 /= np.sqrt(_rowdot(o2, o2))[:, None]
+    return o1, o2
+
+
+def _check_dim(n):
     n = int(n)
     if n < 2:
         raise ValueError(f"need dimension >= 2 for an orthonormal pair, got {n}")
-    g1, g2 = rng.standard_normal((2, n))
-    o1 = g1 / np.linalg.norm(g1)
-    w = g2 - (o1 @ g2) * o1
-    return o1, w / np.linalg.norm(w)
+    return n
+
+
+def sample_stiefel_pair(n, rng, size=None):
+    """Uniform orthonormal pair ``(O1, O2)`` in dimension ``n >= 2``.
+
+    Gram-Schmidt applied to two iid standard Gaussian vectors.  With
+    ``size`` given, returns ``size`` independent pairs as two ``(size, n)``
+    arrays, one pair per row.  The Gaussians come from one
+    ``standard_normal((size, 2, n))`` call, which consumes the generator as
+    ``size`` sequential calls do, so row ``k`` has the bits of the ``k``-th
+    of ``size`` calls without ``size``.
+    """
+    n = _check_dim(n)
+    rows = 1 if size is None else int(size)
+    o1, o2 = _gram_schmidt(rng.standard_normal((rows, 2, n)))
+    return (o1[0], o2[0]) if size is None else (o1, o2)
 
 
 def eigvec_from_block(s, t, o1, o2):
@@ -164,33 +199,50 @@ def eigvec_from_block(s, t, o1, o2):
 
     ``(o1, o2)`` must be orthonormal to within 1e-8 and ``s**2 + t**2 = 1``;
     the entries then satisfy ``|R_j|**2 = s**2 O1_j**2 + t**2 O2_j**2``
-    exactly, and ``R`` has unit norm.
+    exactly, and ``R`` has unit norm.  ``o1`` and ``o2`` may be ``(rows, n)``
+    blocks, with ``s`` and ``t`` scalars or one value per row; the checks
+    then hold row by row and row ``k`` of the result is that row's vector.
     """
-    if abs(s * s + t * t - 1.0) > 1e-8:
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.abs(s * s + t * t - 1.0).max() > 1e-8:
         raise ValueError("mixing amplitudes must satisfy s**2 + t**2 = 1")
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
-    if (
-        abs(np.linalg.norm(o1) - 1.0) > 1e-8
-        or abs(np.linalg.norm(o2) - 1.0) > 1e-8
-        or abs(float(o1 @ o2)) > 1e-8
-    ):
+    b1, b2 = np.atleast_2d(o1, o2)
+    norms = np.sqrt([_rowdot(b1, b1), _rowdot(b2, b2)])
+    if np.abs(norms - 1.0).max() > 1e-8 or np.abs(_rowdot(b1, b2)).max() > 1e-8:
         raise ValueError("(o1, o2) is not an orthonormal pair")
-    return 1j * s * o1 + t * o2
+    if o1.ndim == 2:
+        s, t = s[..., None], t[..., None]
+    vec = 1j * s * o1
+    vec += t * o2
+    return vec
 
 
-def synthetic_eigvec_sample(n, y, tau, rng):
+def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """Sample an eigenvector with the law conditioned on ``lam = x + i y / sqrt(N)``.
 
     Draws the scale parameter ``S``, converts it to mixing amplitudes, draws a
-    uniform orthonormal pair, and assembles ``i*s*O1 + t*O2``.
+    uniform orthonormal pair, and assembles ``i*s*O1 + t*O2``.  With ``size``
+    given, draws ``size`` independent vectors as one ``(size, n)`` block.
+    The generator is consumed as by ``size`` sequential calls (``S``, then
+    the pair's Gaussians, for each row in turn), and row ``k`` has the bits
+    of the ``k``-th such call.
 
     Returns
     -------
-    (ndarray, float)
-        The complex unit vector and the scale parameter ``S`` used.
+    (ndarray, float) or (ndarray, ndarray)
+        The complex unit vector and the scale parameter ``S`` used; with
+        ``size``, the ``(size, n)`` block and the ``size`` values of ``S``.
     """
-    S = theory.sample_S(y, tau, rng)
+    n = _check_dim(n)
+    rows = 1 if size is None else int(size)
+    S = np.empty(rows)
+    g = np.empty((rows, 2, n))
+    for k in range(rows):
+        S[k] = theory.sample_S(y, tau, rng)
+        rng.standard_normal(out=g[k])
     s, t = st_from_S(S)
-    o1, o2 = sample_stiefel_pair(n, rng)
-    return eigvec_from_block(s, t, o1, o2), S
+    vec = eigvec_from_block(s, t, *_gram_schmidt(g))
+    return (vec[0], float(S[0])) if size is None else (vec, S)

@@ -202,6 +202,16 @@ class TestConvergence:
         _, rows = read_csv(out)
         assert float(rows[0][4]) == pytest.approx(2 * 64 / 66, rel=1e-12)
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_fewer_than_two_trials_is_error(self, capsys, trials):
+        code, out, err = run_cli(
+            ["convergence", "--N-list", "64", "--trials", trials, "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: convergence_study needs trials >= 2" in err
+
 
 class TestFigure:
     @staticmethod

@@ -1,11 +1,14 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import pervector_reference as ref
 import pytest
 
 import eigipr
@@ -31,7 +34,7 @@ from eigipr import (
     spectrum_ipr_map,
     trial_rng,
 )
-from eigipr.experiments import REALNESS_RTOL, RESIDUAL_RTOL
+from eigipr.experiments import _BLOCK_ENTRIES, REALNESS_RTOL, RESIDUAL_RTOL
 
 
 def elliptic_config(n, tau, trials, seed, q_set=(2,), workers=1, **kw):
@@ -353,6 +356,47 @@ class TestConvergenceStudy:
         rng = np.random.default_rng(37)
         with pytest.raises(ValueError):
             convergence_study(2, 0.5, 0.0, [512, 128], 10, rng)
+
+    @pytest.mark.parametrize("trials", [-1, 0, 1])
+    def test_rejects_fewer_than_two_trials(self, trials):
+        rng = np.random.default_rng(38)
+        with pytest.raises(ValueError, match="trials >= 2"):
+            convergence_study(2, 0.5, 0.0, [64], trials, rng)
+
+    def test_amplitudes_checked_before_sampling(self):
+        # s**2 + t**2 - 1 = 6e-10: inside eigvec_from_block's 1e-8 tolerance,
+        # outside the exact mean's 1e-10, so the study must stop before it draws.
+        rng = np.random.default_rng(39)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="s\\*\\*2"):
+            convergence_study(2, 0.5, 0.0, [64, 128], 10, rng, st=(0.8, 0.6 + 5e-10))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("st", [None, (0.8, 0.6)])
+    def test_rows_match_per_vector_loop(self, st):
+        # 201 trials per N: one block at N=2 and N=17, full blocks and a
+        # shorter tail at N=100, 2-row blocks and a 1-row tail at half the
+        # block size, one row per block past it.
+        n_list = [2, 17, 100, _BLOCK_ENTRIES // 2, _BLOCK_ENTRIES + 1]
+        rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
+        rows = convergence_study(3, 0.7, 0.3, n_list, 201, rng, st=st)
+        want = ref.convergence_study(3, 0.7, 0.3, n_list, 201, ref_rng, st=st)
+        assert json.dumps(rows) == json.dumps(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_block_memory_bound(self):
+        # One vector at a time peaks at 0.3 MB here, 8192-entry blocks at
+        # 0.66 MB and 16384-entry blocks at 1.05 MB: a larger block would
+        # show in the process's peak resident memory.
+        rng = np.random.default_rng(41)
+        convergence_study(2, 0.5, 0.0, [4096], 2, rng)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            convergence_study(2, 0.5, 0.0, [4096], 200, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 900_000
 
 
 class TestSkipPolicy:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pervector_reference as ref
 import pytest
 
 from eigipr import (
@@ -148,6 +149,15 @@ class TestStFromS:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             st_from_S(0.999)
+        with pytest.raises(ValueError):
+            st_from_S(np.array([1.5, 0.999]))
+
+    def test_array_has_bits_of_scalar_calls(self):
+        S = np.array([1.0, 1.0 + 1e-18, 1.1, 1.25, 2.0, 10.0, 1e8])
+        s, t = st_from_S(S)
+        want = np.array([ref.st_from_S(x) for x in S])
+        assert s.tobytes() == want[:, 0].tobytes()
+        assert t.tobytes() == want[:, 1].tobytes()
 
 
 class TestStiefelPair:
@@ -204,6 +214,18 @@ class TestEigvecFromBlock:
         with pytest.raises(ValueError):
             eigvec_from_block(0.9, 0.9, v, np.eye(10)[0])
 
+    def test_block_checks_each_row(self):
+        rng = np.random.default_rng(23)
+        o1, o2 = sample_stiefel_pair(10, rng, size=4)
+        s, t = np.full(4, 0.6), np.full(4, 0.8)
+        assert eigvec_from_block(s, t, o1, o2).shape == (4, 10)
+        t[2] = 0.9
+        with pytest.raises(ValueError, match="amplitudes"):
+            eigvec_from_block(s, t, o1, o2)
+        o2[3] = o1[3]
+        with pytest.raises(ValueError, match="orthonormal"):
+            eigvec_from_block(0.6, 0.8, o1, o2)
+
 
 class TestSyntheticEigvec:
     def test_unit_norm_and_scale_range(self):
@@ -250,3 +272,54 @@ class TestSyntheticEigvec:
             synthetic_eigvec_sample(64, -1.0, 0.0, rng)
         with pytest.raises(ValueError):
             synthetic_eigvec_sample(64, 0.5, 1.0, rng)
+
+
+# The sizes are one row, a prime, and 201, which is not a multiple of the 81
+# rows that `convergence_study` draws per block at N=100.
+BLOCK_NS = (2, 3, 17, 100, 400, 1600)
+BLOCK_SIZES = (1, 37, 201)
+
+
+class TestBlockMatchesPerVector:
+    """``size=`` blocks against the one-vector-at-a-time reference: same bits, same generator state."""
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("y", [0.2, 1.0])  # both branches of sample_S
+    def test_synthetic_eigvec_sample(self, n, size, y):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        vecs, S = synthetic_eigvec_sample(n, y, 0.3, rng, size=size)
+        want = [ref.synthetic_eigvec_sample(n, y, 0.3, ref_rng) for _ in range(size)]
+        assert vecs.shape == (size, n) and S.shape == (size,)
+        assert vecs.tobytes() == np.array([v for v, _ in want]).tobytes()
+        assert S.tobytes() == np.array([x for _, x in want]).tobytes()
+        assert ipr(vecs, 3).tobytes() == np.array([ipr(v, 3) for v, _ in want]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_sample_stiefel_pair(self, n, size):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        o1, o2 = sample_stiefel_pair(n, rng, size=size)
+        want = [ref.sample_stiefel_pair(n, ref_rng) for _ in range(size)]
+        assert o1.shape == o2.shape == (size, n)
+        assert o1.tobytes() == np.array([a for a, _ in want]).tobytes()
+        assert o2.tobytes() == np.array([b for _, b in want]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        vecs = eigvec_from_block(0.8, 0.6, o1, o2)
+        ref_vecs = [ref.eigvec_from_block(0.8, 0.6, a, b) for a, b in want]
+        assert vecs.tobytes() == np.array(ref_vecs).tobytes()
+        assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v in ref_vecs]).tobytes()
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    def test_without_size(self, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        vec, S = synthetic_eigvec_sample(n, 0.7, 0.0, rng)
+        want, want_S = ref.synthetic_eigvec_sample(n, 0.7, 0.0, ref_rng)
+        assert vec.shape == (n,) and type(S) is float
+        assert vec.tobytes() == want.tobytes() and S == want_S
+        o1, o2 = sample_stiefel_pair(n, rng)
+        a, b = ref.sample_stiefel_pair(n, ref_rng)
+        assert o1.shape == o2.shape == (n,)
+        assert o1.tobytes() == a.tobytes() and o2.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
