@@ -314,6 +314,10 @@ def _run_theory_mean(p):
 
 def _run_compare(p):
     config = _make_run_config(dict(p, trials=p["trials"]), (p["q"],))
+    # At tau = 1 the matrix is symmetric: no eigenvalue is off the real axis,
+    # and the limit law is undefined.  Refuse before any matrix is sampled.
+    if not p["tau"] < 1.0:
+        raise ValueError(f"compare needs tau < 1, got {p['tau']}")
     records = experiments.spectrum_ipr_map(config)
     dist = experiments.conditional_ipr(
         records, p["q"], p["y"], p["relwidth"], p["xwindow"], config.spec.N

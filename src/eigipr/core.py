@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class EigRecord:
     """One eigenvalue of one sampled matrix, with its eigenvector statistics.
 

@@ -93,6 +93,13 @@ class EnsembleSpec:
 def sample_elliptic(n, tau, rng):
     """Real elliptic Gaussian matrix ``(sqrt(1+tau) H + sqrt(1-tau) A) / sqrt(2N)``.
 
+    ``H = (M1 + M1^T) / sqrt(2)`` and ``A = (M2 - M2^T) / sqrt(2)`` for two
+    standard Gaussian draws ``M1`` then ``M2``.  The result is built in place
+    in the block that first holds ``M1 + M1^T``, by the same float operations
+    in the same order as the expression, so it has the expression's bits.
+    Each draw is released once used: at most three ``n x n`` blocks are live
+    at once.
+
     Parameters
     ----------
     n : int
@@ -105,11 +112,18 @@ def sample_elliptic(n, tau, rng):
         raise ValueError(f"matrix dimension must be >= 2, got {n}")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
+    root2 = math.sqrt(2.0)
     m1 = rng.standard_normal((n, n))
+    m1 = m1 + m1.T  # the rebinding frees the draw
+    m1 /= root2
+    m1 *= math.sqrt(1.0 + tau)
     m2 = rng.standard_normal((n, n))
-    h = (m1 + m1.T) / math.sqrt(2.0)
-    a = (m2 - m2.T) / math.sqrt(2.0)
-    return (math.sqrt(1.0 + tau) * h + math.sqrt(1.0 - tau) * a) / math.sqrt(2.0 * n)
+    m2 = m2 - m2.T
+    m2 /= root2
+    m2 *= math.sqrt(1.0 - tau)
+    m1 += m2
+    m1 /= math.sqrt(2.0 * n)
+    return m1
 
 
 def sample_ginibre_real(n, rng):

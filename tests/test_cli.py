@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ class TestCompare:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--y", "0", "y_center"), ("--tau", "1", "tau < 1"), ("--xwindow", "-1", "x_window")],
+    )
+    def test_bad_bin_fails_before_any_trial(self, capsys, monkeypatch, flag, value, message):
+        import eigipr.experiments as exp
+
+        trials = []
+        real_run = exp._run_trial
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t) or real_run(c, t))
+        args = ["compare", "--N", "400", "--trials", "210", "--seed", "3", flag, value]
+        start = time.perf_counter()
+        code, _, err = run_cli(args, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert message in err
+        assert trials == []
 
 
 class TestConvergence:

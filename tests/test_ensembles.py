@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,39 @@ def cycle_count(perm):
     return cycles
 
 
+def elliptic_expression(n, tau, rng):
+    """The elliptic sampler as one out-of-place expression: its reference bits."""
+    m1 = rng.standard_normal((n, n))
+    m2 = rng.standard_normal((n, n))
+    h = (m1 + m1.T) / math.sqrt(2.0)
+    a = (m2 - m2.T) / math.sqrt(2.0)
+    return (math.sqrt(1.0 + tau) * h + math.sqrt(1.0 - tau) * a) / math.sqrt(2.0 * n)
+
+
 class TestElliptic:
+    @pytest.mark.parametrize("n", [2, 3, 64, 401])
+    @pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
+    def test_bitwise_equal_to_expression(self, n, tau):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = sample_elliptic(n, tau, rng)
+        want = elliptic_expression(n, tau, ref_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_at_most_three_and_a_half_blocks_live(self):
+        # The out-of-place expression peaks at about six n x n blocks.
+        n = 400
+        rng = np.random.default_rng(8)
+        sample_elliptic(n, 0.3, rng)
+        tracemalloc.start()
+        try:
+            sample_elliptic(n, 0.3, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n
+
     def test_tau_one_exactly_symmetric(self):
         rng = np.random.default_rng(0)
         m = sample_elliptic(16, 1.0, rng)

@@ -31,6 +31,7 @@ from eigipr import (
     realness_threshold,
     sample,
     sample_elliptic,
+    sample_ginibre_complex,
     spectrum_ipr_map,
     trial_rng,
 )
@@ -111,6 +112,61 @@ class TestEigRight:
         rng = np.random.default_rng(30)
         w, v, res = eig_right(sample_elliptic(50, 0.0, rng))
         assert res.max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            sample_elliptic(200, 0.0, np.random.default_rng(32)),
+            sample_elliptic(201, 0.5, np.random.default_rng(33)),
+            sample_elliptic(200, 1.0, np.random.default_rng(34)),
+            sample_ginibre_complex(150, np.random.default_rng(35)),
+        ],
+        ids=["tau0", "tau0.5", "tau1", "complex"],
+    )
+    def test_residuals_match_whole_matrix_formula(self, mat):
+        w, v, res = eig_right(mat)
+        want = np.linalg.norm(mat @ v - v * w, axis=0) / np.linalg.norm(mat, "fro")
+        assert res.shape == want.shape == (mat.shape[0],)
+        # Both are at rounding level (a few eps), so the rounding of the two
+        # products alone moves single columns by up to about 2%; the eps/4
+        # absolute slack covers that and still fails a wrong formula.
+        np.testing.assert_allclose(res, want, rtol=1e-2, atol=np.finfo(float).eps / 4)
+        assert res.max() <= RESIDUAL_RTOL
+
+    @pytest.mark.parametrize("member", ["upper", "lower"])
+    @pytest.mark.parametrize("part", [1.0, 1j])
+    def test_perturbed_column_breaks_contract(self, monkeypatch, member, part):
+        mat = sample_elliptic(70, 0.0, np.random.default_rng(36))
+        w0, _ = np.linalg.eig(mat)
+        pos = np.flatnonzero(w0.imag > 1e-3)[0]
+        # The partner of w0[pos] is its conjugate, the lower member.
+        neg = int(np.argmin(np.abs(w0 - w0[pos].conjugate())))
+        k = pos if member == "upper" else neg
+        real_eig = np.linalg.eig
+
+        def perturbed(a):
+            w, v = real_eig(a)
+            v[:, k] += 1e-6 * part
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        _, _, res = eig_right(mat)
+        assert res[k] > RESIDUAL_RTOL
+        assert np.delete(res, k).max() <= RESIDUAL_RTOL
+
+    def test_real_matrix_transients(self):
+        # The whole-matrix pass peaked at 7.8 MB here: a complex copy of G,
+        # the complex product and its conj/product temporaries.
+        n = 400
+        mat = sample_elliptic(n, 0.0, np.random.default_rng(37))
+        eig_right(mat)
+        tracemalloc.start()
+        try:
+            eig_right(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -414,6 +470,24 @@ class TestSkipPolicy:
         with pytest.raises(exp.RunError):
             spectrum_ipr_map(elliptic_config(20, 0.0, 10, seed=1))
 
+    def test_nan_residual_skips_trial(self, monkeypatch, caplog):
+        real_eig = np.linalg.eig
+        calls = []
+
+        def nan_on_first_call(a):
+            w, v = real_eig(a)
+            if not calls:
+                v[:, -1] = np.nan
+            calls.append(None)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", nan_on_first_call)
+        with caplog.at_level("WARNING", logger="eigipr.experiments"):
+            records = spectrum_ipr_map(elliptic_config(8, 0.0, 100, seed=2))
+        assert len(calls) == 100
+        assert {r.trial_id for r in records} == set(range(1, 100))
+        assert "trial 0 skipped: eigenpair residual nan above contract" in caplog.text
+
 
 class TestRunConfigValidation:
     def test_bad_configs(self):
@@ -426,6 +500,12 @@ class TestRunConfigValidation:
             RunConfig(spec=spec, trials=1, q_set=())
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, rel_width=1.5)
+        for y_center in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="y_center"):
+                RunConfig(spec=spec, trials=1, y_center=y_center)
+        for x_window in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="x_window"):
+                RunConfig(spec=spec, trials=1, x_window=x_window)
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, seed=-1)
         with pytest.raises(ValueError):
