@@ -16,7 +16,7 @@ import numpy as np
 
 from eigipr import cdf_ell, density_ell, ks_distance, mean_ipr_depletion_finite_N, sample_ell
 from eigipr.experiments import EmpiricalDist
-from eigipr.output import write_density_csv
+from eigipr.output import write_table_csv
 
 OUT = Path("demo_output")
 OUT.mkdir(exist_ok=True)
@@ -25,7 +25,8 @@ rng = np.random.default_rng(99)
 ells = np.linspace(2.0, 3.0, 402)[1:-1]
 print(f"{'y':>6} {'E[IPR_2]':>10} {'median':>8} {'KS(sampler, cdf)':>18}")
 for y in (0.1, 0.25, 0.5, 1.0, 2.0):
-    write_density_csv(ells, density_ell(2, ells, y, 0.0), OUT / f"ipr2_density_y{y}.csv")
+    density = density_ell(2, ells, y, 0.0)
+    write_table_csv(["x", "density"], zip(ells, density), OUT / f"ipr2_density_y{y}.csv")
     xs = sample_ell(2, y, 0.0, rng, size=50_000)
     d = ks_distance(EmpiricalDist.from_samples(xs), lambda e: cdf_ell(2, e, y, 0.0))
     mean = mean_ipr_depletion_finite_N(math.inf, 2, y, 0.0)

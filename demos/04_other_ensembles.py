@@ -20,20 +20,17 @@ OUT = Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
 MODELS = [
-    (EnsembleSpec(kind="induced_ginibre", N=400, nu=400, normalization="empirical"), "induced.svg"),
-    (EnsembleSpec(kind="orthogonal_sum", N=400, d=3, normalization="bulk"), "orthogonal_sum.svg"),
-    (EnsembleSpec(kind="permutation_sum", N=400, d=4, normalization="bulk"), "permutation_sum.svg"),
-    (
-        EnsembleSpec(kind="permutation_sum", N=400, d=4, perm_mode="ewens", theta=8.0, normalization="bulk"),
-        "ewens_sum.svg",
-    ),
+    (EnsembleSpec(kind="induced_ginibre", N=400, nu=400), "empirical", "induced.svg"),
+    (EnsembleSpec(kind="orthogonal_sum", N=400, d=3), "bulk", "orthogonal_sum.svg"),
+    (EnsembleSpec(kind="permutation_sum", N=400, d=4), "bulk", "permutation_sum.svg"),
+    (EnsembleSpec(kind="permutation_sum", N=400, d=4, perm_mode="ewens", theta=8.0), "bulk", "ewens_sum.svg"),
 ]
 
-for spec, fname in MODELS:
+for spec, mode, fname in MODELS:
     config = RunConfig(spec=spec, trials=6, q_set=(2,), seed=12, workers=4)
     records = spectrum_ipr_map(config)
     lams = np.array([complex(r.re_lambda, r.im_lambda) for r in records])
-    lams = normalize_spectrum(lams, spec.normalization, kind=spec.kind, d=spec.d)
+    lams = normalize_spectrum(lams, mode, kind=spec.kind, d=spec.d)
     for rec, lam in zip(records, lams):
         rec.re_lambda, rec.im_lambda = lam.real, lam.imag
     write_svg_scatter(records, 2, OUT / fname)

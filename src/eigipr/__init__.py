@@ -34,24 +34,13 @@ from .experiments import (
     trial_rng,
 )
 from .legendre import g, g_inverse, legendre_eval, phi
-from .schur import (
-    BlockParams,
-    BlockSpectral,
-    block_spectral,
-    canonicalize_2x2,
-    eig2x2_general,
-    eigvec_from_block,
-    sample_stiefel_pair,
-    st_from_S,
-    synthetic_eigvec_sample,
-)
+from .schur import eigvec_from_block, sample_stiefel_pair, st_from_S, synthetic_eigvec_sample
 from .theory import (
     cdf_S,
     cdf_ell,
     density_S,
     density_delta,
     density_ell,
-    ipr_limit,
     mean_ipr_depletion_finite_N,
     mean_ipr_finite_N,
     orthogonal_joint_moment,

@@ -81,7 +81,6 @@ _COMMON_RUN = {
     "d": (int, 1),
     "perm_mode": (str, "uniform"),
     "theta": (float, 1.0),
-    "normalization": (str, "none"),
     "trials": (int, 10),
     "seed": (int, None),
     "workers": (int, None),
@@ -90,7 +89,7 @@ _COMMON_RUN = {
 
 _COMMANDS = {
     "sample-spectrum": dict(_COMMON_RUN, q=(_q_list, (2,))),
-    "figure": dict(_COMMON_RUN, q=(int, 2)),
+    "figure": dict(_COMMON_RUN, q=(int, 2), normalization=(str, "none")),
     "theory-density": {
         "q": (int, 2),
         "y": (float, _REQUIRED),
@@ -207,26 +206,25 @@ def _echo(command, params):
     print(line, file=sys.stderr)
 
 
+# Parameters that set an EnsembleSpec field, and those that set a RunConfig bin
+# field (name -> field); a command without one leaves the field's default.
+_SPEC_KEYS = ("tau", "nu", "d", "perm_mode", "theta")
+_BIN_FIELDS = {"y": "y_center", "relwidth": "rel_width", "xwindow": "x_window"}
+
+
 def _make_run_config(p, q_set):
     spec = ensembles.EnsembleSpec(
         kind=_ensemble_kind(p["ensemble"]),
         N=p["N"],
-        tau=p["tau"],
-        nu=p.get("nu", 0),
-        d=p.get("d", 1),
-        perm_mode=p.get("perm_mode", "uniform"),
-        theta=p.get("theta", 1.0),
-        normalization=p.get("normalization", "none"),
+        **{key: p[key] for key in _SPEC_KEYS if key in p},
     )
     return experiments.RunConfig(
         spec=spec,
         trials=p["trials"],
         q_set=q_set,
         seed=p["seed"],
-        y_center=p.get("y", 0.5),
-        rel_width=p.get("relwidth", 0.1),
-        x_window=p.get("xwindow", 0.5),
         workers=p["workers"],
+        **{field: p[key] for key, field in _BIN_FIELDS.items() if key in p},
     )
 
 
@@ -259,13 +257,14 @@ def _run_sample_spectrum(p):
 
 
 def _run_figure(p):
+    mode = p["normalization"]
+    if mode not in ensembles.NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {ensembles.NORMALIZATIONS}, got {mode!r}")
     config = _make_run_config(p, (p["q"],))
     records = experiments.spectrum_ipr_map(config)
-    if config.spec.normalization != "none":
+    if mode != "none":
         lams = np.array([complex(r.re_lambda, r.im_lambda) for r in records])
-        lams = ensembles.normalize_spectrum(
-            lams, config.spec.normalization, kind=config.spec.kind, d=config.spec.d
-        )
+        lams = ensembles.normalize_spectrum(lams, mode, kind=config.spec.kind, d=config.spec.d)
         for rec, lam in zip(records, lams):
             rec.re_lambda = lam.real
             rec.im_lambda = lam.imag
@@ -275,22 +274,22 @@ def _run_figure(p):
 
 def _run_theory_density(p):
     xs = _grid_points(p)
-    output.write_density_csv(xs, theory.density_ell(p["q"], xs, p["y"], p["tau"]), p["out"])
+    density = theory.density_ell(p["q"], xs, p["y"], p["tau"])
+    output.write_table_csv(["x", "density"], zip(xs, density), p["out"])
     return 0
 
 
 def _run_theory_cdf(p):
     xs = _grid_points(p)
-    output.write_density_csv(
-        xs, theory.cdf_ell(p["q"], xs, p["y"], p["tau"]), p["out"], value_name="cdf"
-    )
+    cdf = theory.cdf_ell(p["q"], xs, p["y"], p["tau"])
+    output.write_table_csv(["x", "cdf"], zip(xs, cdf), p["out"])
     return 0
 
 
 def _run_theory_sample(p):
     rng = np.random.default_rng(p["seed"])
     xs = theory.sample_ell(p["q"], p["y"], p["tau"], rng, size=p["n"])
-    output.write_column_csv(xs, p["out"])
+    output.write_table_csv(["value"], zip(xs), p["out"])
     return 0
 
 
@@ -313,7 +312,7 @@ def _run_theory_mean(p):
 
 
 def _run_compare(p):
-    config = _make_run_config(dict(p, trials=p["trials"]), (p["q"],))
+    config = _make_run_config(p, (p["q"],))
     # At tau = 1 the matrix is symmetric: no eigenvalue is off the real axis,
     # and the limit law is undefined.  Refuse before any matrix is sampled.
     if not p["tau"] < 1.0:
@@ -352,7 +351,8 @@ def _run_convergence(p):
     rows = experiments.convergence_study(
         p["q"], p["y"], p["tau"], p["N_list"], p["trials"], rng, st=p["st"]
     )
-    output.write_table_csv(["N", "mean", "std", "stderr", "theory_mean"], rows, p["out"])
+    columns = ["N", "mean", "std", "stderr", "theory_mean"]
+    output.write_table_csv(columns, ([row[c] for c in columns] for row in rows), p["out"])
     return 0
 
 

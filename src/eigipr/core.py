@@ -39,10 +39,6 @@ class EigRecord:
     ipr: dict[int, float] = field(default_factory=dict)
     residual: float = 0.0
 
-    @property
-    def lam(self) -> complex:
-        return complex(self.re_lambda, self.im_lambda)
-
 
 def ipr(x, q):
     """Inverse participation ratio of order `q`, of one vector or of each row of a block.

@@ -58,8 +58,7 @@ class EnsembleSpec:
     """Which ensemble to sample and with which parameters.
 
     ``tau`` applies to the elliptic kind, ``nu`` to the induced kind, ``d``,
-    ``perm_mode`` and ``theta`` to the sum kinds; ``normalization`` selects
-    how `normalize_spectrum` rescales eigenvalues downstream.
+    ``perm_mode`` and ``theta`` to the sum kinds.
     """
 
     kind: str
@@ -69,7 +68,6 @@ class EnsembleSpec:
     d: int = 1
     perm_mode: str = "uniform"
     theta: float = 1.0
-    normalization: str = "none"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -86,8 +84,6 @@ class EnsembleSpec:
             raise ValueError(f"perm_mode must be 'uniform' or 'ewens', got {self.perm_mode!r}")
         if self.theta <= 0.0:
             raise ValueError(f"Ewens parameter theta must be > 0, got {self.theta}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
 
 def sample_elliptic(n, tau, rng):

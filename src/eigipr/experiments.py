@@ -169,6 +169,10 @@ def eig_right(mat):
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
     w, v = np.linalg.eig(mat)
+    # For an all-real spectrum eig returns the real part of its complex
+    # result, a view with a 16-byte stride; a contiguous copy halves its
+    # memory and lets the complex array go.  Complex `v` is already contiguous.
+    v = np.ascontiguousarray(v)
     fro = np.linalg.norm(mat, "fro")
     return w, v, _residual_norms(mat, w, v) / fro
 

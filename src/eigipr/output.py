@@ -16,14 +16,10 @@ from .core import EigRecord, double_factorial_odd, factorial
 
 __all__ = [
     "read_records_csv",
-    "write_density_csv",
     "write_records_csv",
     "write_svg_scatter",
+    "write_table_csv",
 ]
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 @contextmanager
@@ -97,33 +93,14 @@ def read_records_csv(path):
     return records
 
 
-def write_density_csv(grid, values, path, value_name="density"):
-    """Write a ``x,density`` (or ``x,<value_name>``) table as CSV."""
+def write_table_csv(header, rows, path):
+    """Write a header row and rows of numbers as CSV: ints as ints, other values at ``.17g``."""
     with _sink(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", value_name])
-        for x, v in zip(grid, values):
-            writer.writerow([_fmt(x), _fmt(v)])
-
-
-def write_column_csv(values, path, name="value"):
-    """Write a single-column CSV of samples."""
-    with _sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name])
-        for v in values:
-            writer.writerow([_fmt(v)])
-
-
-def write_table_csv(columns, rows, path):
-    """Write a list of dict rows as CSV with the given column order."""
-    with _sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [row[c] if isinstance(row[c], int) else _fmt(row[c]) for c in columns]
-            )
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, int) else format(float(v), ".17g") for v in row] for row in rows
+        )
 
 
 # Three-stop linear color map (dark violet -> teal -> yellow); cosmetic only.

@@ -1,133 +1,28 @@
-r"""2x2 canonical-block algebra and synthetic eigenvector construction.
+r"""Synthetic eigenvectors built from the scale parameter of a 2x2 canonical block.
 
 A real 2x2 matrix with non-real eigenvalues is orthogonally similar to a
 unique canonical block ``[[x, b], [-c, x]]`` with ``b >= c > 0``.  Its
-upper-half-plane eigenvalue is ``x + i sqrt(b c)`` with unit eigenvector
-``(i s, t)`` where ``s = sqrt(b / (b + c))`` and ``t = sqrt(c / (b + c))``.
-Embedded in dimension ``N``, the corresponding eigenvector is
+eigenvalues are ``x +- i sqrt(b c)``.  With ``s = sqrt(b / (b + c))`` and
+``t = sqrt(c / (b + c))``, the unit vector ``(i s, t)`` is the eigenvector
+of the lower eigenvalue ``x - i sqrt(b c)``; the upper eigenvalue's
+eigenvector is its conjugate ``(-i s, t)``, which has the same entry moduli
+and hence the same IPR.  Embedded in dimension ``N``, the vector is
 ``i s O1 + t O2`` for an orthonormal pair ``(O1, O2)``; this module builds
 such vectors directly, without ever forming a matrix.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import theory
 
 __all__ = [
-    "BlockParams",
-    "BlockSpectral",
-    "block_spectral",
-    "canonicalize_2x2",
-    "eig2x2_general",
     "eigvec_from_block",
     "sample_stiefel_pair",
     "st_from_S",
     "synthetic_eigvec_sample",
 ]
-
-
-@dataclass(frozen=True)
-class BlockParams:
-    """Canonical block ``[[x, b], [-c, x]]`` with ``b >= c > 0``."""
-
-    x: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
-class BlockSpectral:
-    """Spectral data of a canonical block.
-
-    ``lam`` is the upper-half-plane eigenvalue; ``(s, t)`` the eigenvector
-    mixing amplitudes with ``s**2 + t**2 = 1`` and ``s >= t > 0``; ``S =
-    1/(2 s t) >= 1`` the scale parameter.
-    """
-
-    lam: complex
-    s: float
-    t: float
-    S: float
-
-
-def eig2x2_general(a, b, c, d, eigvec=False):
-    """Eigenvalues (and optionally an eigenvector) of ``[[a, b], [c, d]]``.
-
-    With ``m = (a + d)/2`` and ``p = a d - b c``, the eigenvalues are
-    ``m +- sqrt(m**2 - p)``; they are complex conjugates when ``m**2 < p``.
-
-    Parameters
-    ----------
-    a, b, c, d : float
-        Real matrix entries.
-    eigvec : bool
-        When true, also return the unit eigenvector ``(lam_plus - d, c)`` of
-        the leading eigenvalue; this requires ``c != 0``.
-
-    Returns
-    -------
-    (lam_plus, lam_minus) or (lam_plus, lam_minus, v)
-        Eigenvalues as floats (real spectrum) or complex conjugates with
-        ``lam_plus`` in the closed upper-half plane.
-    """
-    m = 0.5 * (a + d)
-    p = a * d - b * c
-    disc = m * m - p
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        lam_plus, lam_minus = m + r, m - r
-    else:
-        r = math.sqrt(-disc)
-        lam_plus, lam_minus = complex(m, r), complex(m, -r)
-    if not eigvec:
-        return lam_plus, lam_minus
-    if c == 0.0:
-        raise ValueError("eigenvector formula requires a nonzero lower-left entry")
-    v = np.array([lam_plus - d, c], dtype=complex)
-    if disc < 0.0:
-        # |lam_plus - d|**2 + c**2 collapses to c**2 - b*c for conjugate pairs.
-        nrm = math.sqrt(c * c - b * c)
-    else:
-        nrm = math.hypot(abs(lam_plus - d), c)
-    return lam_plus, lam_minus, v / nrm
-
-
-def block_spectral(params):
-    """Spectral data ``(lam, s, t, S)`` of a canonical block.
-
-    Raises ``ValueError`` unless ``b >= c > 0`` (which implies ``b c > 0``).
-    """
-    x, b, c = params.x, params.b, params.c
-    if not (b * c > 0.0 and b >= c and c > 0.0):
-        raise ValueError(f"block parameters must satisfy b >= c > 0, got b={b}, c={c}")
-    y = math.sqrt(b * c)
-    s = math.sqrt(b / (b + c))
-    t = math.sqrt(c / (b + c))
-    return BlockSpectral(lam=complex(x, y), s=s, t=t, S=(b + c) / (2.0 * y))
-
-
-def canonicalize_2x2(a, b, c, d):
-    """Canonical block parameters of a 2x2 real matrix with complex spectrum.
-
-    The canonical form preserves the half-trace ``x``, the determinant
-    (``b' c' = p - m**2``) and the Frobenius norm (``b'**2 + c'**2``); those
-    invariants determine ``b' >= c' > 0`` without constructing the rotation.
-    """
-    m = 0.5 * (a + d)
-    p = a * d - b * c
-    gap = p - m * m
-    if gap <= 0.0:
-        raise ValueError("canonical block exists only for a complex-spectrum matrix")
-    frob2 = a * a + b * b + c * c + d * d - 2.0 * m * m
-    ssum = math.sqrt(frob2 + 2.0 * gap)
-    sdif = math.sqrt(max(frob2 - 2.0 * gap, 0.0))
-    bp = 0.5 * (ssum + sdif)
-    return BlockParams(x=m, b=bp, c=gap / bp)
 
 
 def st_from_S(S):

@@ -27,8 +27,8 @@ function ``erfcx`` so that large ``y`` neither overflows nor cancels.
 ``scipy.special`` is imported inside the functions that need it
 (`density_delta`, `density_S`, `cdf_S` and `mean_ipr_depletion_finite_N`,
 and through them `density_ell` and `cdf_ell`), on their first call.  The
-samplers, `mean_ipr_finite_N`, `orthogonal_joint_moment` and `ipr_limit` need
-no scipy, so a run that only samples matrices never loads it.
+samplers, `mean_ipr_finite_N` and `orthogonal_joint_moment` need no scipy,
+so a run that only samples matrices never loads it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "density_S",
     "density_delta",
     "density_ell",
-    "ipr_limit",
     "mean_ipr_depletion_finite_N",
     "mean_ipr_finite_N",
     "orthogonal_joint_moment",
@@ -250,23 +249,6 @@ def mean_ipr_finite_N(N, q, s, t):
         for k in range(q + 1)
     )
     return _finite_n_prefactor(N, q) * total
-
-
-def ipr_limit(q, regime):
-    """Almost-sure IPR limit by spectral regime.
-
-    ``regime='real_axis'`` (eigenvector uniform on the real sphere) gives
-    ``(2q-1)!!``; ``regime='bulk'`` (uniform on the complex sphere) gives
-    ``q!``.
-    """
-    q = int(q)
-    if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
-    if regime == "real_axis":
-        return double_factorial_odd(q)
-    if regime == "bulk":
-        return factorial(q)
-    raise ValueError(f"regime must be 'real_axis' or 'bulk', got {regime!r}")
 
 
 @functools.cache

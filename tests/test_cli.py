@@ -134,6 +134,15 @@ class TestSampleSpectrum:
         header, _ = read_csv(out)
         assert "ipr_q2" in header
 
+    def test_normalization_is_figure_only(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["sample-spectrum", "--ensemble", "elliptic", "--N", "10",
+             "--normalization", "bulk", "--out", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+
     def test_reproducible_from_echoed_config(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         code, _, err = run_cli(
@@ -285,6 +294,20 @@ class TestFigure:
         )
         assert code == 0
         assert "<circle" in out.read_text()
+
+    def test_unknown_normalization_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "spectrum_ipr_map", lambda config: calls.append(config) or [])
+        code, _, err = run_cli(
+            ["figure", "--ensemble", "elliptic", "--N", "10", "--normalization", "unit",
+             "--out", str(tmp_path / "u.svg")],
+            capsys,
+        )
+        assert code == 2
+        assert "normalization" in err
+        assert calls == []
 
 
 class TestUsageAndSeeds:

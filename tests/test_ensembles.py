@@ -331,5 +331,3 @@ class TestSpecAndDeterminism:
             EnsembleSpec(kind="permutation_sum", N=10, d=0)
         with pytest.raises(ValueError):
             EnsembleSpec(kind="permutation_sum", N=10, theta=0.0)
-        with pytest.raises(ValueError):
-            EnsembleSpec(kind="elliptic_real", N=10, normalization="unit")

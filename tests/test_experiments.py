@@ -108,6 +108,19 @@ class TestEigRight:
         assert min(abs(w - lam)) < 1e-12
         assert min(abs(w - lam.conjugate())) < 1e-12
 
+    def test_real_spectrum_eigenvectors_are_contiguous(self):
+        # At tau = 1, eig returns the real part of its complex result: a view
+        # with a 16-byte stride that keeps the complex array alive.
+        mat = sample_elliptic(200, 1.0, np.random.default_rng(37))
+        w, v, res = eig_right(mat)
+        assert v.dtype == np.float64
+        assert v.strides[1] == 8 and v.flags.owndata
+        w0, strided = np.linalg.eig(mat)
+        want = eigipr.experiments._residual_norms(mat, w0, strided) / np.linalg.norm(mat, "fro")
+        assert res.tobytes() == want.tobytes()
+        for q in (2, 3, 4):
+            assert ipr(v.T, q).tobytes() == ipr(strided.T, q).tobytes()
+
     def test_residual_contract_on_random_matrix(self):
         rng = np.random.default_rng(30)
         w, v, res = eig_right(sample_elliptic(50, 0.0, rng))

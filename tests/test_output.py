@@ -7,9 +7,9 @@ import pytest
 from eigipr import EigRecord
 from eigipr.output import (
     read_records_csv,
-    write_density_csv,
     write_records_csv,
     write_svg_scatter,
+    write_table_csv,
 )
 
 
@@ -91,11 +91,16 @@ class TestDensityCsv:
         path = tmp_path / "d.csv"
         xs = [1.0 / 3.0, 2.0 / 3.0]
         vals = [0.1 + 0.2, 1e-300]
-        write_density_csv(xs, vals, path)
+        write_table_csv(["x", "density"], zip(xs, vals), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,density"
         parsed = [tuple(map(float, line.split(","))) for line in lines[1:]]
         assert parsed == [(xs[0], vals[0]), (xs[1], vals[1])]
+
+    def test_ints_as_ints_and_crlf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table_csv(["N", "mean"], [(16, 2.0), (64, np.float64(0.1))], path)
+        assert path.read_bytes() == b"N,mean\r\n16,2\r\n64,0.10000000000000001\r\n"
 
 
 class TestSvgScatter:

@@ -5,10 +5,6 @@ import pervector_reference as ref
 import pytest
 
 from eigipr import (
-    BlockParams,
-    block_spectral,
-    canonicalize_2x2,
-    eig2x2_general,
     eigvec_from_block,
     ipr,
     mean_ipr_depletion_finite_N,
@@ -25,87 +21,32 @@ def rotate_block(x, b, c, angle):
     return rot @ blk @ rot.T
 
 
-class TestEig2x2:
-    def test_canonical_block_unit_eigenvalue(self):
-        lam_p, lam_m = eig2x2_general(0.0, 2.0, -0.5, 0.0)
-        assert lam_p == pytest.approx(1j, abs=1e-15)
-        assert lam_m == pytest.approx(-1j, abs=1e-15)
+def canonicalize_2x2(a, b, c, d):
+    """Canonical block ``(x, b', c')`` of ``[[a, b], [c, d]]``, a real matrix with complex spectrum.
 
-    def test_diagonal_matrix(self):
-        lam_p, lam_m = eig2x2_general(1.0, 0.0, 0.0, 3.0)
-        assert {lam_p, lam_m} == {3.0, 1.0}
-
-    def test_eigvec_residual_on_random_complex_spectra(self):
-        rng = np.random.default_rng(8)
-        found = 0
-        while found < 25:
-            a, b, c, d = rng.standard_normal(4)
-            m, p = 0.5 * (a + d), a * d - b * c
-            if m * m - p >= 0:
-                continue
-            found += 1
-            lam_p, _, v = eig2x2_general(a, b, c, d, eigvec=True)
-            mat = np.array([[a, b], [c, d]])
-            assert np.linalg.norm(mat @ v - lam_p * v) <= 1e-12
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_eigvec_real_spectrum(self):
-        lam_p, _, v = eig2x2_general(2.0, 1.0, 1.0, 2.0, eigvec=True)
-        mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert np.linalg.norm(mat @ v - lam_p * v) <= 1e-12
-
-    def test_eigvec_rejected_for_zero_lower_left(self):
-        with pytest.raises(ValueError):
-            eig2x2_general(1.0, 0.0, 0.0, 3.0, eigvec=True)
-
-
-class TestBlockSpectral:
-    def test_reference_block(self):
-        bs = block_spectral(BlockParams(0.0, 2.0, 0.5))
-        assert bs.lam == pytest.approx(1j, abs=1e-15)
-        assert bs.s**2 == pytest.approx(0.8, rel=1e-14)
-        assert bs.t**2 == pytest.approx(0.2, rel=1e-14)
-        assert bs.S == pytest.approx(1.25, rel=1e-14)
-
-    def test_symmetric_block(self):
-        bs = block_spectral(BlockParams(1.0, 0.7, 0.7))
-        assert bs.s == pytest.approx(bs.t, rel=1e-14)
-        assert bs.S == pytest.approx(1.0, rel=1e-14)
-
-    def test_ts_product_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            c = rng.uniform(0.1, 2.0)
-            b = c * rng.uniform(1.0, 5.0)
-            bs = block_spectral(BlockParams(rng.standard_normal(), b, c))
-            assert bs.t * bs.s == pytest.approx(bs.lam.imag / (b + c), abs=1e-12)
-            assert bs.s**2 + bs.t**2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_general_eigensolver(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            c = rng.uniform(0.1, 2.0)
-            b = c * rng.uniform(1.0, 5.0)
-            x = rng.standard_normal()
-            bs = block_spectral(BlockParams(x, b, c))
-            lam_p, _ = eig2x2_general(x, b, -c, x)
-            assert abs(bs.lam - lam_p) <= 1e-12 * max(1.0, abs(lam_p))
-
-    def test_invariant_violations(self):
-        with pytest.raises(ValueError):
-            block_spectral(BlockParams(0.0, 0.5, 2.0))  # b < c
-        with pytest.raises(ValueError):
-            block_spectral(BlockParams(0.0, 2.0, -0.5))  # bc < 0
-        with pytest.raises(ValueError):
-            block_spectral(BlockParams(0.0, -0.5, -2.0))  # negative pair
+    The canonical form ``[[x, b'], [-c', x]]`` preserves the half-trace ``x``,
+    the determinant (``b' c' = p - m**2``) and the Frobenius norm
+    (``b'**2 + c'**2``); those invariants determine ``b' >= c' > 0`` without
+    constructing the rotation.
+    """
+    m = 0.5 * (a + d)
+    p = a * d - b * c
+    gap = p - m * m
+    if gap <= 0.0:
+        raise ValueError("canonical block exists only for a complex-spectrum matrix")
+    frob2 = a * a + b * b + c * c + d * d - 2.0 * m * m
+    ssum = math.sqrt(frob2 + 2.0 * gap)
+    sdif = math.sqrt(max(frob2 - 2.0 * gap, 0.0))
+    bp = 0.5 * (ssum + sdif)
+    return m, bp, gap / bp
 
 
 class TestCanonicalize:
     def test_identity_on_canonical_input(self):
-        out = canonicalize_2x2(0.3, 2.0, -0.5, 0.3)
-        assert out.x == 0.3
-        assert out.b == pytest.approx(2.0, rel=1e-14)
-        assert out.c == pytest.approx(0.5, rel=1e-14)
+        x, b, c = canonicalize_2x2(0.3, 2.0, -0.5, 0.3)
+        assert x == 0.3
+        assert b == pytest.approx(2.0, rel=1e-14)
+        assert c == pytest.approx(0.5, rel=1e-14)
 
     def test_rotation_round_trip(self):
         rng = np.random.default_rng(12)
@@ -115,9 +56,7 @@ class TestCanonicalize:
             b = c * rng.uniform(1.0, 10.0)
             mat = rotate_block(x, b, c, rng.uniform(0, 2 * math.pi))
             out = canonicalize_2x2(mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1])
-            assert out.x == pytest.approx(x, abs=1e-10)
-            assert out.b == pytest.approx(b, abs=1e-10)
-            assert out.c == pytest.approx(c, abs=1e-10)
+            assert out == pytest.approx((x, b, c), abs=1e-10)
 
     def test_real_spectrum_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +152,31 @@ class TestEigvecFromBlock:
             eigvec_from_block(0.6, 0.8, v, v)
         with pytest.raises(ValueError):
             eigvec_from_block(0.9, 0.9, v, np.eye(10)[0])
+
+    def test_lower_eigenvalue_eigenvector_of_rotated_block(self):
+        # For R [[x, b], [-c, x]] R^T, i s R[:, 0] + t R[:, 1] with S = (b + c)/(2 sqrt(bc))
+        # is the eigenvector of x - i sqrt(bc); its conjugate is that of x + i sqrt(bc).
+        rng = np.random.default_rng(24)
+        n = 2000
+        x = rng.standard_normal(n)
+        c = rng.uniform(0.05, 2.0, n)
+        b = c * 10.0 ** rng.uniform(0.0, 3.0, n)
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        rot = np.empty((n, 2, 2))
+        rot[:, 0, 0] = rot[:, 1, 1] = np.cos(angle)
+        rot[:, 1, 0] = np.sin(angle)
+        rot[:, 0, 1] = -rot[:, 1, 0]
+        blk = np.empty((n, 2, 2))
+        blk[:, 0, 0] = blk[:, 1, 1] = x
+        blk[:, 0, 1], blk[:, 1, 0] = b, -c
+        w, v = np.linalg.eig(rot @ blk @ rot.transpose(0, 2, 1))
+        lower = np.argmin(w.imag, axis=1)
+        rows = np.arange(n)
+        assert np.allclose(w[rows, lower], x - 1j * np.sqrt(b * c), rtol=1e-12, atol=0.0)
+        u_lower, u_upper = v[rows, :, lower], v[rows, :, 1 - lower]
+        r = eigvec_from_block(*st_from_S((b + c) / (2.0 * np.sqrt(b * c))), rot[:, :, 0], rot[:, :, 1])
+        assert (1.0 - np.abs(np.sum(r.conj() * u_lower, axis=1))).max() <= 1e-12
+        assert (1.0 - np.abs(np.sum(r * u_upper, axis=1))).max() <= 1e-12
 
     def test_block_checks_each_row(self):
         rng = np.random.default_rng(23)

@@ -21,7 +21,6 @@ from eigipr import (
     factorial,
     g,
     g_inverse,
-    ipr_limit,
     mean_ipr_depletion_finite_N,
     mean_ipr_finite_N,
     orthogonal_joint_moment,
@@ -323,14 +322,6 @@ class TestMoments:
         vals = (t2 * xs**2 + s2 * ys**2) ** 2
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(g(2, 1.25) - vals.mean()) < 3 * se
-
-    @pytest.mark.parametrize("q,regime,expect", [(2, "real_axis", 3), (2, "bulk", 2), (1, "real_axis", 1), (1, "bulk", 1), (4, "real_axis", 105)])
-    def test_ipr_limit(self, q, regime, expect):
-        assert ipr_limit(q, regime) == expect
-
-    def test_ipr_limit_rejects_unknown_regime(self):
-        with pytest.raises(ValueError):
-            ipr_limit(2, "edge")
 
 
 @functools.cache
