@@ -258,9 +258,9 @@ def _run_sample_spectrum(p):
 
 def _run_figure(p):
     mode = p["normalization"]
-    if mode not in ensembles.NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {ensembles.NORMALIZATIONS}, got {mode!r}")
     config = _make_run_config(p, (p["q"],))
+    # Refuse a mode that cannot apply to this ensemble before any trial runs.
+    ensembles._check_normalization(mode, config.spec.kind, config.spec.d)
     records = experiments.spectrum_ipr_map(config)
     if mode != "none":
         lams = np.array([complex(r.re_lambda, r.im_lambda) for r in records])

@@ -252,6 +252,25 @@ def sample(spec, rng):
     raise ValueError(f"unknown ensemble kind {spec.kind!r}")
 
 
+def _check_normalization(mode, kind, d):
+    """Raise ValueError unless display mode ``mode`` applies to ensemble ``kind`` with ``d`` summands."""
+    if mode not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {mode!r}")
+    if mode != "bulk":
+        return
+    if kind == "permutation_sum":
+        if d is None or d < 2:
+            raise ValueError("bulk normalization of a permutation sum needs d >= 2")
+    elif kind == "orthogonal_sum":
+        if d is None or d < 1:
+            raise ValueError("bulk normalization of an orthogonal sum needs d >= 1")
+    else:
+        raise ValueError(
+            "bulk normalization is defined for the sum ensembles only; "
+            "use mode='empirical' for other kinds"
+        )
+
+
 def normalize_spectrum(eigs, mode, kind=None, d=None):
     """Rescale a batch of eigenvalues for display in the unit disk.
 
@@ -264,21 +283,9 @@ def normalize_spectrum(eigs, mode, kind=None, d=None):
     eigs = np.asarray(eigs)
     if eigs.size == 0:
         raise ValueError("cannot normalize an empty spectrum")
+    _check_normalization(mode, kind, d)
     if mode == "none":
         return eigs
     if mode == "empirical":
         return eigs / np.quantile(np.abs(eigs), 0.999)
-    if mode == "bulk":
-        if kind == "permutation_sum":
-            if d is None or d < 2:
-                raise ValueError("bulk normalization of a permutation sum needs d >= 2")
-            return eigs / math.sqrt(d - 1)
-        if kind == "orthogonal_sum":
-            if d is None or d < 1:
-                raise ValueError("bulk normalization of an orthogonal sum needs d >= 1")
-            return eigs / math.sqrt(d)
-        raise ValueError(
-            "bulk normalization is defined for the sum ensembles only; "
-            "use mode='empirical' for other kinds"
-        )
-    raise ValueError(f"mode must be one of {NORMALIZATIONS}, got {mode!r}")
+    return eigs / math.sqrt(d - 1 if kind == "permutation_sum" else d)

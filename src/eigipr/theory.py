@@ -120,13 +120,61 @@ def cdf_S(u, y, tau):
     return np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)[()]
 
 
+def _proposal(y, tau):
+    """``(sigma, a)`` for `sample_S`: the scale of ``S`` and the standardized truncation point."""
+    _check_y_tau(y, tau)
+    sigma = _sigma(y, tau)
+    return sigma, 1.0 / sigma
+
+
+def _round_shape(a, wanted):
+    """Shape ``(values per candidate, candidates)`` of a round that still needs ``wanted`` samples.
+
+    A Gaussian candidate is one value; an exponential one is an exponential
+    and a uniform.  One sample wanted takes 20 or 18 candidates.
+    """
+    if a <= 0.5:
+        # P(Z > a) >= P(Z > 0.5) ~ 0.309
+        return 1, 4 * wanted + 16
+    return 2, 2 * wanted + 16
+
+
+def _draw_round(rng, a, raw):
+    """Fill ``raw``, of shape `_round_shape`, with one round's raw candidates.
+
+    Gaussian proposal: ``standard_normal``.  Exponential proposal:
+    ``standard_exponential``, then ``random``.
+    """
+    if a <= 0.5:
+        rng.standard_normal(out=raw[0])
+    else:
+        rng.standard_exponential(out=raw[0])
+        rng.random(out=raw[1])
+
+
+def _accept(a, raw):
+    """Standardized candidates and their acceptance mask, for raw rounds of shape ``(..., w, m)``.
+
+    Naive Gaussian rejection when ``a <= 0.5``; otherwise the one-sided
+    exponential proposal of rate ``alpha`` shifted to ``a``, accepted with
+    probability ``exp(-(z - alpha)**2 / 2)``.
+    """
+    if a <= 0.5:
+        z = raw[..., 0, :]
+        return z, z > a
+    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
+    z = a + raw[..., 0, :] * (1.0 / alpha)
+    return z, raw[..., 1, :] <= np.exp(-0.5 * np.square(z - alpha))
+
+
 def sample_S(y, tau, rng, size=None):
     """Exact sampler of the scale parameter ``S``.
 
     With ``a = 2 y / sqrt(1 - tau**2)`` the truncation point of the
     standardized normal, samples use naive Gaussian rejection when
     ``a <= 0.5`` and a one-sided shifted-exponential proposal otherwise,
-    whose acceptance rate is uniformly bounded below.
+    whose acceptance rate is uniformly bounded below.  Each round draws a
+    batch of candidates and keeps the accepted ones in order.
 
     Parameters
     ----------
@@ -136,30 +184,18 @@ def sample_S(y, tau, rng, size=None):
     size : int, optional
         Number of samples; a bare float is returned when omitted.
     """
-    _check_y_tau(y, tau)
+    sigma, a = _proposal(y, tau)
     scalar = size is None
     n = 1 if scalar else int(size)
-    sigma = _sigma(y, tau)
-    a = 1.0 / sigma
     out = np.empty(n)
     k = 0
-    if a <= 0.5:
-        # P(Z > a) >= P(Z > 0.5) ~ 0.309
-        while k < n:
-            m = 4 * (n - k) + 16
-            z = rng.standard_normal(m)
-            z = z[z > a][: n - k]
-            out[k : k + z.size] = z
-            k += z.size
-    else:
-        alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-        while k < n:
-            m = 2 * (n - k) + 16
-            z = a + rng.exponential(1.0 / alpha, m)
-            keep = rng.random(m) <= np.exp(-0.5 * np.square(z - alpha))
-            z = z[keep][: n - k]
-            out[k : k + z.size] = z
-            k += z.size
+    while k < n:
+        raw = np.empty(_round_shape(a, n - k))
+        _draw_round(rng, a, raw)
+        z, keep = _accept(a, raw)
+        z = z[keep][: n - k]
+        out[k : k + z.size] = z
+        k += z.size
     out *= sigma
     return float(out[0]) if scalar else out
 
@@ -223,7 +259,10 @@ def orthogonal_joint_moment(N, k, j):
 
 def _finite_n_prefactor(N, q):
     # N**q / (N (N+2) ... (N + 2q - 2)), written as a product of ratios so
-    # that N up to 1e9 stays exact to rounding.
+    # that N up to 1e9 stays exact to rounding.  The finite-N means hold for
+    # N >= 2; below it the prefactor leaves the support or divides by zero.
+    if not N >= 2:
+        raise ValueError(f"matrix dimension N must be >= 2, got {N}")
     return math.prod(1.0 / (1.0 + 2.0 * i / N) for i in range(q))
 
 
@@ -234,6 +273,7 @@ def mean_ipr_finite_N(N, q, s, t):
     ``s**2 + t**2 = 1``.  The value is
     ``N**q / (N (N+2) ... (N+2q-2)) * sum_k binom(q,k) s**(2k) t**(2(q-k))
     (2k-1)!! (2(q-k)-1)!!`` and increases to its ``N -> oo`` limit.
+    ``N >= 2``, or ``math.inf`` for the limit.
     """
     q = int(q)
     if q < 1:
@@ -288,6 +328,7 @@ def mean_ipr_depletion_finite_N(N, q, y, tau):
     Against 30-digit references for ``q = 2..8``, ``y`` from 0.02 to 300 and
     ``tau`` up to 0.99 the relative error is below ``1e-10``.  Up to rounding
     the value lies between ``q!`` and ``(2q-1)!!`` times the prefactor.
+    ``N >= 2``, or ``math.inf`` for the limit.
     """
     from scipy.special import log_ndtr, ndtri_exp
 

@@ -90,6 +90,13 @@ class TestTheoryCommands:
         assert report["bulk_limit"] == 2.0
         assert report["real_axis_limit"] == 3.0
 
+    @pytest.mark.parametrize("n", ["0", "1", "-3"])
+    def test_mean_rejects_dimension_below_two(self, n, capsys):
+        code, out, err = run_cli(["theory-mean", "--y", "0.5", "--N", n], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"N must be >= 2, got {n}" in err
+
     def test_mean_report_in_narrow_peak_at_one(self, capsys):
         # 2y / sqrt(1 - tau**2) ~ 700: S crowds 1 within ~2e-6, and the mean
         # must still sit at or above the bulk limit q! = 2.
@@ -308,6 +315,32 @@ class TestFigure:
         assert code == 2
         assert "normalization" in err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--ensemble", "elliptic"],
+             "bulk normalization is defined for the sum ensembles only; "
+             "use mode='empirical' for other kinds"),
+            (["--ensemble", "permutation-sum", "--d", "1"],
+             "bulk normalization of a permutation sum needs d >= 2"),
+        ],
+    )
+    def test_bulk_on_wrong_ensemble_fails_before_any_trial(self, args, message, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        calls = []
+        run_trial = exp._run_trial
+        monkeypatch.setattr(exp, "_run_trial", lambda *a: calls.append(a) or run_trial(*a))
+        code, _, err = run_cli(
+            ["figure", *args, "--N", "10", "--trials", "4", "--normalization", "bulk",
+             "--out", str(tmp_path / "b.svg")],
+            capsys,
+        )
+        assert code == 2
+        assert err.endswith(f"error: {message}\n")
+        assert calls == []
+        assert not (tmp_path / "b.svg").exists()
 
 
 class TestUsageAndSeeds:

@@ -275,6 +275,25 @@ class TestBlockMatchesPerVector:
         assert vecs.tobytes() == np.array(ref_vecs).tobytes()
         assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v in ref_vecs]).tobytes()
 
+    def test_rollback_to_per_row_draws(self, monkeypatch):
+        # At a = 2y / sqrt(1 - tau**2) = 0.5 the Gaussian proposal rejects all
+        # 20 candidates of a round with probability 0.69**20 ~ 6e-4, so about
+        # 2.5 of these 80 blocks of 50 rows must be redone one row at a time.
+        import eigipr.schur as schur_mod
+
+        rollbacks = []
+        per_row = schur_mod._sample_rows
+        monkeypatch.setattr(schur_mod, "_sample_rows", lambda *a: rollbacks.append(1) or per_row(*a))
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        blocks = [synthetic_eigvec_sample(3, 0.25, 0.0, rng, size=50) for _ in range(80)]
+        want = [ref.synthetic_eigvec_sample(3, 0.25, 0.0, ref_rng) for _ in range(4000)]
+        assert 0 < len(rollbacks) < 80
+        vecs = np.concatenate([v for v, _ in blocks])
+        assert vecs.tobytes() == np.array([v for v, _ in want]).tobytes()
+        assert np.concatenate([S for _, S in blocks]).tobytes() == np.array([x for _, x in want]).tobytes()
+        assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v, _ in want]).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("n", BLOCK_NS)
     def test_without_size(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pervector_reference as ref
 import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
@@ -130,6 +131,30 @@ class TestSampleS:
         rng = np.random.default_rng(3)
         val = sample_S(1.0, 0.0, rng)
         assert isinstance(val, float) and val > 1.0
+
+    # (y, tau) with a = 2 y / sqrt(1 - tau**2) = 0.42 and 0.5 take the Gaussian
+    # proposal, 2 and 11.5 the exponential one.
+    BRANCHES = [(0.2, 0.3), (0.25, 0.0), (1.0, 0.0), (5.0, 0.5)]
+
+    @pytest.mark.parametrize("size", [None, 1, 5000])
+    @pytest.mark.parametrize("y,tau", BRANCHES)
+    def test_matches_frozen_reference(self, y, tau, size):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20 if size is None else 3):
+            got = sample_S(y, tau, rng, size=size)
+            want = ref.sample_S(y, tau, ref_rng, size=size)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [None, 5000])
+    @pytest.mark.parametrize("y,tau", BRANCHES)
+    def test_sample_ell_matches_frozen_reference(self, y, tau, size):
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample_ell(3, y, tau, rng, size=size)
+        want = g(3, ref.sample_S(y, tau, ref_rng, size=size))
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEllLaw:
@@ -304,6 +329,20 @@ class TestMoments:
     def test_mean_ipr_finite_N_rejects_bad_amplitudes(self):
         with pytest.raises(ValueError):
             mean_ipr_finite_N(100, 2, 0.9, 0.9)
+
+    @pytest.mark.parametrize("N", [1, 0, -3, 1.5, math.nan, -math.inf])
+    def test_finite_N_means_reject_dimension_below_two(self, N):
+        # At N = 1 the prefactor puts the mean below 1, at N = -3 above
+        # (2q-1)!!, and at N = 0 it divides by zero.
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            mean_ipr_finite_N(N, 2, 0.8, 0.6)
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            mean_ipr_depletion_finite_N(N, 2, 0.5, 0.0)
+
+    def test_finite_N_means_at_smallest_dimension_and_limit(self):
+        assert mean_ipr_finite_N(2, 1, 0.8, 0.6) == pytest.approx(1.0, rel=1e-12)
+        assert mean_ipr_finite_N(math.inf, 2, 0.8, 0.6) == pytest.approx(g(2, 1 / (2 * 0.8 * 0.6)), rel=1e-12)
+        assert 1.0 <= mean_ipr_depletion_finite_N(2, 2, 0.5, 0.0) < mean_ipr_depletion_finite_N(math.inf, 2, 0.5, 0.0)
 
     def test_mean_ipr_conditional_endpoints(self):
         # the mean IPR conditioned on S is g(q, S)
