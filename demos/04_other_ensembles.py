@@ -9,6 +9,7 @@ the spectral edge instead.  Writes one SVG portrait per model, spectra
 rescaled into the unit disk.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,8 @@ MODELS = [
 for spec, mode, fname in MODELS:
     config = RunConfig(spec=spec, trials=6, q_set=(2,), seed=12, workers=4)
     records = spectrum_ipr_map(config)
-    lams = np.array([complex(r.re_lambda, r.im_lambda) for r in records])
+    lams = np.empty(len(records), dtype=complex)
+    lams.real, lams.imag = records.re, records.im
     lams = normalize_spectrum(lams, mode, kind=spec.kind, d=spec.d)
-    for rec, lam in zip(records, lams):
-        rec.re_lambda, rec.im_lambda = lam.real, lam.imag
-    write_svg_scatter(records, 2, OUT / fname)
+    write_svg_scatter(dataclasses.replace(records, re=lams.real, im=lams.imag), 2, OUT / fname)
     print(f"{spec.kind:18s} ({spec.perm_mode if spec.kind == 'permutation_sum' else '-':8s}) -> {OUT / fname}")

@@ -5,7 +5,7 @@ functional, the exact limiting laws of the IPR conditioned on an eigenvalue
 near the real axis, and Monte Carlo pipelines that cross-check the two.
 """
 
-from .core import EigRecord, double_factorial_odd, factorial, ipr, uniform_sphere_sample
+from .core import EigRecord, Records, double_factorial_odd, factorial, ipr, uniform_sphere_sample
 from .ensembles import (
     EnsembleSpec,
     ewens_permutation,

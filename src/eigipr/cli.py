@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime or data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -263,11 +264,10 @@ def _run_figure(p):
     ensembles._check_normalization(mode, config.spec.kind, config.spec.d)
     records = experiments.spectrum_ipr_map(config)
     if mode != "none":
-        lams = np.array([complex(r.re_lambda, r.im_lambda) for r in records])
+        lams = np.empty(len(records), dtype=complex)
+        lams.real, lams.imag = records.re, records.im
         lams = ensembles.normalize_spectrum(lams, mode, kind=config.spec.kind, d=config.spec.d)
-        for rec, lam in zip(records, lams):
-            rec.re_lambda = lam.real
-            rec.im_lambda = lam.imag
+        records = dataclasses.replace(records, re=lams.real, im=lams.imag)
     output.write_svg_scatter(records, p["q"], p["out"])
     return 0
 

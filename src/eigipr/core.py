@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = [
     "EigRecord",
+    "Records",
+    "as_records",
     "double_factorial_odd",
     "factorial",
     "ipr",
@@ -24,7 +26,7 @@ __all__ = [
 
 @dataclass(slots=True)
 class EigRecord:
-    """One eigenvalue of one sampled matrix, with its eigenvector statistics.
+    """One eigenvalue of one sampled matrix, with its eigenvector statistics: a row of `Records`.
 
     ``ipr`` maps each requested order ``q`` to the eigenvector's IPR value;
     ``residual`` is the relative eigenpair residual ``||G v - lam v||_2 /
@@ -38,6 +40,120 @@ class EigRecord:
     is_real_eig: bool
     ipr: dict[int, float] = field(default_factory=dict)
     residual: float = 0.0
+
+
+def _int_column(values):
+    """Integers as an int64 column, or as exact Python ints when one does not fit in int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _bits(col):
+    """A float64 column as its bit patterns, so that -0.0 != 0.0 and equal NaNs compare equal."""
+    return col.view(np.uint64) if col.dtype == np.float64 else col
+
+
+# The columns of `Records` besides ``ipr``.
+_SCALAR_COLUMNS = ("trial", "idx", "re", "im", "is_real", "residual")
+
+# Entries turned into Python scalars at a time when a table is iterated or
+# written: the transient lists stay near 300 kB at any table size.
+_ROW_CHUNK = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Eigenvalue records as numpy columns, one entry per eigenvalue.
+
+    ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
+    float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, ascending,
+    to a float64 column.  Entry ``k`` of every column describes the same
+    eigenvalue; iterating yields these entries as `EigRecord` rows of Python
+    scalars.  ``==`` against another table compares every column bit for
+    bit, and against a list or tuple of rows compares the rows.
+    """
+
+    trial: np.ndarray
+    idx: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    is_real: np.ndarray
+    residual: np.ndarray
+    ipr: dict
+
+    def __post_init__(self):
+        sizes = {len(col) for col in self._columns()}
+        if len(sizes) > 1:
+            raise ValueError(f"record columns differ in length: {sorted(sizes)}")
+
+    def _columns(self, orders=None):
+        """The columns in `EigRecord` field order, with the IPRs at ``orders`` (default: all held)."""
+        ipr = self.ipr.values() if orders is None else [self.ipr[q] for q in orders]
+        return [self.trial, self.idx, self.re, self.im, self.is_real, *ipr, self.residual]
+
+    @property
+    def orders(self):
+        """The IPR orders held, ascending."""
+        return tuple(self.ipr)
+
+    @classmethod
+    def from_rows(cls, rows, orders=None):
+        """The table of an iterable of `EigRecord` rows.
+
+        ``orders`` defaults to the IPR orders of the first row; every row
+        must hold every order kept (`KeyError` otherwise).
+        """
+        rows = list(rows)
+        if orders is None:
+            orders = rows[0].ipr if rows else ()
+        return cls(
+            trial=_int_column([r.trial_id for r in rows]),
+            idx=_int_column([r.idx for r in rows]),
+            re=np.array([r.re_lambda for r in rows], dtype=float),
+            im=np.array([r.im_lambda for r in rows], dtype=float),
+            is_real=np.array([r.is_real_eig for r in rows], dtype=bool),
+            residual=np.array([r.residual for r in rows], dtype=float),
+            ipr={int(q): np.array([r.ipr[q] for r in rows], dtype=float) for q in sorted(orders)},
+        )
+
+    @classmethod
+    def concat(cls, parts):
+        """One table of ``parts``, a nonempty sequence of tables with the same orders, in order."""
+        return cls(
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _SCALAR_COLUMNS},
+            ipr={q: np.concatenate([p.ipr[q] for p in parts]) for q in parts[0].orders},
+        )
+
+    def __len__(self):
+        return len(self.re)
+
+    def _rows(self, orders):
+        """Per entry, ``(trial, idx, re, im, is_real, ipr at each of orders..., residual)`` as Python scalars."""
+        cols = self._columns(orders)
+        for k in range(0, len(self), _ROW_CHUNK):
+            yield from zip(*(col[k : k + _ROW_CHUNK].tolist() for col in cols))
+
+    def __iter__(self):
+        orders = self.orders
+        for trial, idx, re, im, is_real, *iprs, residual in self._rows(orders):
+            yield EigRecord(trial, idx, re, im, is_real, dict(zip(orders, iprs)), residual)
+
+    def __eq__(self, other):
+        if isinstance(other, Records):
+            return self.orders == other.orders and all(
+                a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+                for a, b in zip(self._columns(), other._columns())
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def as_records(records, orders=None):
+    """``records`` itself when it is a `Records` table, else `Records.from_rows` of its rows."""
+    return records if isinstance(records, Records) else Records.from_rows(records, orders)
 
 
 def ipr(x, q):

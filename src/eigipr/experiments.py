@@ -2,9 +2,9 @@
 
 `spectrum_ipr_map` drives the whole chain for one run configuration: sample a
 matrix per trial, take its right eigenpairs, snap and conjugate-pair the
-spectrum (real ensembles), and emit one `EigRecord` per retained eigenvalue.
-Each trial owns an RNG stream derived from ``(seed, trial_index)``, so the
-output is identical for any worker count.
+spectrum (real ensembles), and keep one entry per retained eigenvalue in a
+`Records` table of numpy columns.  Each trial owns an RNG stream derived from
+``(seed, trial_index)``, so the output is identical for any worker count.
 
 Importing this module sets numpy's bundled OpenBLAS to one thread for the
 whole process (see `_pin_blas_threads`): the eigensolves then run one per
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles, schur, theory
-from .core import EigRecord, ipr
+from .core import Records, as_records, ipr
 
 __all__ = [
     "EmpiricalDist",
@@ -222,6 +222,12 @@ def realness_threshold(w, fro):
         their eigenvector, and the realness flag; the list length is
         ``r + m`` where ``N = r + 2m``.
     """
+    lam, keep, real = _snap_and_pair(w, fro)
+    return list(zip(lam.tolist(), keep.tolist(), real.tolist()))
+
+
+def _snap_and_pair(w, fro):
+    """`realness_threshold` as arrays: the kept eigenvalues, their indices and their realness flags."""
     w = np.asarray(w)
     thr = REALNESS_RTOL * fro
     re, im = w.real, w.imag
@@ -243,10 +249,11 @@ def realness_threshold(w, fro):
     lam = w.astype(complex)
     lam.imag[real] = 0.0
     keep = np.flatnonzero(kept)
-    return list(zip(lam[keep].tolist(), keep.tolist(), real[keep].tolist()))
+    return lam[keep], keep, real[keep]
 
 
 def _run_trial(config, trial):
+    """One trial's `Records`: sample, eigensolve, check the residuals, snap and pair, IPRs."""
     rng = trial_rng(config.seed, trial)
     mat = ensembles.sample(config.spec, rng)
     w, v, res = eig_right(mat)
@@ -254,31 +261,26 @@ def _run_trial(config, trial):
     if not res.max() <= RESIDUAL_RTOL:
         raise np.linalg.LinAlgError(f"eigenpair residual {res.max():.3e} above contract")
     if np.iscomplexobj(mat):
-        entries = [(lam, k, False) for k, lam in enumerate(w.tolist())]
+        lam, keep, real = w, np.arange(w.size), np.zeros(w.size, dtype=bool)
     else:
-        entries = realness_threshold(w, np.linalg.norm(mat, "fro"))
-    ks = [k for _, k, _ in entries]
+        lam, keep, real = _snap_and_pair(w, np.linalg.norm(mat, "fro"))
     # The kept eigenvector columns, gathered once as rows; one block call per order.
-    kept = v.T[ks]
-    iprs = {q: ipr(kept, q).tolist() for q in config.q_set}
-    return [
-        EigRecord(
-            trial_id=trial,
-            idx=idx,
-            re_lambda=lam.real,
-            im_lambda=lam.imag,
-            is_real_eig=is_real,
-            ipr={q: col[idx] for q, col in iprs.items()},
-            residual=r,
-        )
-        for idx, ((lam, _, is_real), r) in enumerate(zip(entries, res[ks].tolist()))
-    ]
+    kept = v.T[keep]
+    return Records(
+        trial=np.full(keep.size, trial, dtype=np.int64),
+        idx=np.arange(keep.size, dtype=np.int64),
+        re=lam.real,
+        im=lam.imag,
+        is_real=real,
+        residual=res[keep],
+        ipr={q: ipr(kept, q) for q in config.q_set},
+    )
 
 
 def spectrum_ipr_map(config):
-    """Run the full pipeline for every trial and return all records.
+    """Run the full pipeline for every trial and return all records as one `Records` table.
 
-    Records are ordered by ``(trial_id, idx)`` regardless of worker count.
+    Entries are ordered by ``(trial, idx)`` regardless of worker count.
     Trials whose eigensolve fails are skipped and logged; more than 1% skips
     raises `RunError`.
     """
@@ -301,7 +303,7 @@ def spectrum_ipr_map(config):
 
     if len(skipped) > 0.01 * config.trials:
         raise RunError(f"{len(skipped)}/{config.trials} trials failed the eigensolve")
-    return [rec for recs in per_trial if recs is not None for rec in recs]
+    return Records.concat([part for part in per_trial if part is not None])
 
 
 @dataclass(frozen=True)
@@ -346,24 +348,21 @@ class EmpiricalDist:
 def conditional_ipr(records, q, y_center, rel_width, x_window, n_dim):
     """IPR samples of order ``q`` conditioned on a band of scaled heights.
 
+    ``records`` is a `Records` table or an iterable of `EigRecord` rows.
     Keeps complex records with ``sqrt(N) * Im lam`` inside
     ``[y_center (1 - rel_width), y_center (1 + rel_width)]`` and
     ``|Re lam| <= x_window``.  Raises `InsufficientDataError` below 100
     selected samples.
     """
+    table = as_records(records, (q,))
     lo = y_center * (1.0 - rel_width)
     hi = y_center * (1.0 + rel_width)
-    root_n = math.sqrt(n_dim)
-    vals = [
-        rec.ipr[q]
-        for rec in records
-        if not rec.is_real_eig
-        and lo <= root_n * rec.im_lambda <= hi
-        and abs(rec.re_lambda) <= x_window
-    ]
-    if len(vals) < 100:
+    height = math.sqrt(n_dim) * table.im
+    band = ~table.is_real & (lo <= height) & (height <= hi) & (np.abs(table.re) <= x_window)
+    vals = table.ipr[q][band]
+    if vals.size < 100:
         raise InsufficientDataError(
-            f"only {len(vals)} samples in bin [{lo:g}, {hi:g}]; need at least 100"
+            f"only {vals.size} samples in bin [{lo:g}, {hi:g}]; need at least 100"
         )
     return EmpiricalDist.from_samples(vals)
 

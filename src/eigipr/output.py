@@ -12,7 +12,9 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import EigRecord, double_factorial_odd, factorial
+import numpy as np
+
+from .core import Records, _int_column, as_records, double_factorial_odd, factorial
 
 __all__ = [
     "read_records_csv",
@@ -44,53 +46,53 @@ def _record_header(q_set):
 
 
 def write_records_csv(records, path, q_set=None):
-    """Write eigenvalue records as CSV.
+    """Write eigenvalue records, a `Records` table or an iterable of `EigRecord` rows, as CSV.
 
     Header: ``trial,idx,re_lambda,im_lambda,is_real,ipr_q<q>...,residual``
     with one ``ipr_q<q>`` column per requested order.  ``q_set`` defaults to
-    the orders stored in the first record.
+    the orders the table holds (for rows, those of the first row).  A
+    requested order the records lack raises `KeyError` before ``path`` is
+    opened, so an existing file there is left as it was.
     """
-    if q_set is None:
-        q_set = sorted(records[0].ipr) if records else ()
-    q_set = tuple(sorted(int(q) for q in q_set))
-    # The bytes csv.writer would write: it never quotes these fields.
-    line = ",".join(["{}", "{}", "{:.17g}", "{:.17g}", "{}"] + ["{:.17g}"] * (len(q_set) + 1)) + "\r\n"
+    table = as_records(records, q_set)
+    q_set = table.orders if q_set is None else tuple(sorted(int(q) for q in q_set))
+    missing = sorted(set(q_set).difference(table.orders))
+    if missing:
+        raise KeyError(missing[0])
+    # The bytes csv.writer would write: it never quotes these fields, and
+    # ``{:d}`` writes the realness flag as 1 or 0.
+    line = ",".join(["{}", "{}", "{:.17g}", "{:.17g}", "{:d}"] + ["{:.17g}"] * (len(q_set) + 1)) + "\r\n"
     with _sink(path) as fh:
         fh.write(",".join(_record_header(q_set)) + "\r\n")
-        fh.writelines(
-            line.format(
-                rec.trial_id,
-                rec.idx,
-                rec.re_lambda,
-                rec.im_lambda,
-                1 if rec.is_real_eig else 0,
-                *[rec.ipr[q] for q in q_set],
-                rec.residual,
-            )
-            for rec in records
-        )
+        fh.writelines(line.format(*row) for row in table._rows(q_set))
 
 
 def read_records_csv(path):
-    """Parse a records CSV back into `EigRecord` objects."""
+    """Parse a records CSV back into a `Records` table."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        q_cols = [(i, int(name[len("ipr_q") :])) for i, name in enumerate(header) if name.startswith("ipr_q")]
-        records = []
+        # Each row parsed as it is read: no CSV text is kept.
+        entries = []
         for row in reader:
-            records.append(
-                EigRecord(
-                    trial_id=int(row[0]),
-                    idx=int(row[1]),
-                    re_lambda=float(row[2]),
-                    im_lambda=float(row[3]),
-                    is_real_eig=row[4] == "1",
-                    ipr={q: float(row[i]) for i, q in q_cols},
-                    residual=float(row[-1]),
-                )
-            )
-    return records
+            if len(row) != len(header):
+                raise ValueError(f"{path}: a row does not have the header's {len(header)} fields")
+            trial, idx, re, im, is_real, *numbers = row
+            entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
+    cols = list(zip(*entries)) or [()] * len(header)
+    return Records(
+        trial=_int_column(cols[0]),
+        idx=_int_column(cols[1]),
+        re=np.array(cols[2], dtype=float),
+        im=np.array(cols[3], dtype=float),
+        is_real=np.array(cols[4], dtype=bool),
+        residual=np.array(cols[-1], dtype=float),
+        ipr={
+            int(name[len("ipr_q") :]): np.array(col, dtype=float)
+            for name, col in zip(header, cols)
+            if name.startswith("ipr_q")
+        },
+    )
 
 
 def write_table_csv(header, rows, path):
@@ -119,16 +121,16 @@ def _color(t):
 def write_svg_scatter(records, q, path, size=640, point_radius=2.0):
     """Self-contained SVG scatter of eigenvalues colored by their order-``q`` IPR.
 
-    The color scale is linear in the IPR, clipped to ``[q!, (2q-1)!!]``: the
+    ``records`` is a `Records` table or an iterable of `EigRecord` rows.  The
+    color scale is linear in the IPR, clipped to ``[q!, (2q-1)!!]``: the
     delocalized floor maps to dark violet, the real-axis ceiling to yellow.
     """
     q = int(q)
     lo, hi = factorial(q), double_factorial_odd(q)
-    pts = [(rec.re_lambda, rec.im_lambda, rec.ipr[q]) for rec in records]
-    if not pts:
+    table = as_records(records, (q,))
+    if not len(table):
         raise ValueError("no records to plot")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs, ys, vals = table.re.tolist(), table.im.tolist(), table.ipr[q].tolist()
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-30) * 1.05
     cx = 0.5 * (max(xs) + min(xs))
     cy = 0.5 * (max(ys) + min(ys))
@@ -154,7 +156,7 @@ def write_svg_scatter(records, q, path, size=640, point_radius=2.0):
                 f'<line x1="0" y1="{y0:.2f}" x2="{size}" y2="{y0:.2f}" '
                 'stroke="#cccccc" stroke-width="1"/>\n'
             )
-        for x, y, val in pts:
+        for x, y, val in zip(xs, ys, vals):
             px, py = to_px(x, y)
             col = _color((val - lo) / (hi - lo))
             fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{point_radius}" fill="{col}"/>\n')

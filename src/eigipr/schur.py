@@ -33,10 +33,11 @@ def st_from_S(S):
     ``1 / (2 S s)`` so the round trip is exact; ``S = 1`` returns
     ``(1/sqrt(2), 1/sqrt(2))``; for ``S >= 1`` the rounded ``S * S`` is at
     least 1, so the first square root never sees a negative number.  ``S``
-    may be an array, with ``s`` and ``t`` computed elementwise.
+    may be an array, with ``s`` and ``t`` computed elementwise; an empty
+    array gives empty ``s`` and ``t``.
     """
     S = np.asarray(S, dtype=float)
-    if not S.min() >= 1.0:
+    if not S.min(initial=np.inf) >= 1.0:
         raise ValueError(f"scale parameter must satisfy S >= 1, got {S.min()}")
     r = np.sqrt(1.0 - 1.0 / (S * S))
     s = np.sqrt(0.5 * (1.0 + r))
@@ -97,16 +98,17 @@ def eigvec_from_block(s, t, o1, o2):
     exactly, and ``R`` has unit norm.  ``o1`` and ``o2`` may be ``(rows, n)``
     blocks, with ``s`` and ``t`` scalars or one value per row; the checks
     then hold row by row and row ``k`` of the result is that row's vector.
+    Blocks of zero rows give a ``(0, n)`` result.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.abs(s * s + t * t - 1.0).max() > 1e-8:
+    if np.abs(s * s + t * t - 1.0).max(initial=0.0) > 1e-8:
         raise ValueError("mixing amplitudes must satisfy s**2 + t**2 = 1")
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
     b1, b2 = np.atleast_2d(o1, o2)
     norms = np.sqrt([_rowdot(b1, b1), _rowdot(b2, b2)])
-    if np.abs(norms - 1.0).max() > 1e-8 or np.abs(_rowdot(b1, b2)).max() > 1e-8:
+    if np.abs(norms - 1.0).max(initial=0.0) > 1e-8 or np.abs(_rowdot(b1, b2)).max(initial=0.0) > 1e-8:
         raise ValueError("(o1, o2) is not an orthonormal pair")
     if o1.ndim == 2:
         s, t = s[..., None], t[..., None]

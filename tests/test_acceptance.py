@@ -222,9 +222,11 @@ def test_criterion_07_companion_finite_size_law(depletion_records):
     dist = conditional_ipr(depletion_records, 2, 0.5, 0.1, 0.5, 400)
     rng = np.random.default_rng(71)
     synth = np.empty(40_000)
-    for k in range(synth.size):
-        vec, _ = synthetic_eigvec_sample(400, 0.5, 0.0, rng)
-        synth[k] = ipr(vec, 2)
+    # Blocks consume the generator as one-vector calls do, with the same bits.
+    block = 1000
+    for k in range(0, synth.size, block):
+        vecs, _ = synthetic_eigvec_sample(400, 0.5, 0.0, rng, size=block)
+        synth[k : k + block] = ipr(vecs, 2)
     d = ks_2samp(dist.values, synth).statistic
     print(
         f"criterion 07 companion: matrix bin vs finite-size construction "

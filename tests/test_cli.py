@@ -302,6 +302,37 @@ class TestFigure:
         assert code == 0
         assert "<circle" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "spec, args, mode",
+        [
+            (dict(kind="induced_ginibre", N=80, nu=80), ["--ensemble", "induced", "--nu", "80"], "empirical"),
+            (dict(kind="orthogonal_sum", N=80, d=3), ["--ensemble", "orthogonal-sum", "--d", "3"], "bulk"),
+        ],
+        ids=["empirical", "bulk"],
+    )
+    def test_normalized_svg_matches_row_loop(self, spec, args, mode, tmp_path, capsys):
+        from eigipr import EnsembleSpec, RunConfig, normalize_spectrum, spectrum_ipr_map
+        from eigipr.output import write_svg_scatter
+
+        out = tmp_path / "n.svg"
+        code, _, _ = run_cli(
+            ["figure", *args, "--N", "80", "--normalization", mode, "--trials", "3", "--q", "3",
+             "--seed", "4", "--workers", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        # The per-row loop the column replacement replaced, kept as its byte oracle.
+        spec = EnsembleSpec(**spec)
+        rows = list(spectrum_ipr_map(RunConfig(spec=spec, trials=3, q_set=(3,), seed=4, workers=2)))
+        lams = np.array([complex(r.re_lambda, r.im_lambda) for r in rows])
+        lams = normalize_spectrum(lams, mode, kind=spec.kind, d=spec.d)
+        for rec, lam in zip(rows, lams):
+            rec.re_lambda = lam.real
+            rec.im_lambda = lam.imag
+        want = tmp_path / "want.svg"
+        write_svg_scatter(rows, 3, want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_unknown_normalization_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
         import eigipr.experiments as exp
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from eigipr import (
     EnsembleSpec,
     InsufficientDataError,
     PairingError,
+    Records,
     RunConfig,
     conditional_ipr,
     convergence_study,
@@ -314,7 +316,12 @@ class TestSpectrumIprMap:
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             rebuilt = [rec for recs in pool.map(trial, range(cfg.trials)) for rec in recs]
-        assert record_bits(rebuilt) == record_bits(spectrum_ipr_map(cfg))
+        table = spectrum_ipr_map(cfg)
+        assert record_bits(rebuilt) == record_bits(table)
+        # The table iterates into the same rows, of the same Python types.
+        rows = list(table)
+        assert rows == rebuilt
+        assert [_typed([dataclasses.astuple(r)]) for r in rows] == [_typed([dataclasses.astuple(r)]) for r in rebuilt]
 
     def test_records_well_formed(self):
         records = spectrum_ipr_map(elliptic_config(40, 0.0, 6, seed=11, q_set=(2, 4)))
@@ -349,6 +356,65 @@ class TestSpectrumIprMap:
         reals = [rec.ipr[2] for rec in records if rec.is_real_eig]
         assert len(reals) > 80
         assert abs(np.mean(reals) - 3.0) < 0.1
+
+
+class TestRecords:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return spectrum_ipr_map(elliptic_config(60, 0.2, 8, seed=31, q_set=(2, 3), workers=2))
+
+    def test_columns(self, table):
+        assert len(table) == table.re.size > 0
+        assert table.orders == (2, 3)
+        assert table.trial.dtype == table.idx.dtype == np.int64
+        assert table.is_real.dtype == bool
+        assert table.re.dtype == table.im.dtype == table.residual.dtype == table.ipr[2].dtype == np.float64
+        assert np.all(np.diff(table.trial) >= 0)
+        assert np.array_equal(table.im == 0.0, table.is_real)
+
+    def test_equality_is_bitwise(self, table):
+        same = dataclasses.replace(table, re=table.re.copy())
+        assert same == table
+        zeros = np.flatnonzero(table.im == 0.0)
+        flipped = table.im.copy()
+        flipped[zeros[0]] = -0.0
+        assert dataclasses.replace(table, im=flipped) != table
+        nudged = table.ipr[3].copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        assert dataclasses.replace(table, ipr={2: table.ipr[2], 3: nudged}) != table
+        assert dataclasses.replace(table, ipr={2: table.ipr[2]}) != table
+        nan = table.residual.copy()
+        nan[0] = np.nan
+        assert dataclasses.replace(table, residual=nan) == dataclasses.replace(table, residual=nan.copy())
+
+    def test_from_rows_round_trip(self, table):
+        assert Records.from_rows(list(table)) == table
+        assert Records.from_rows(list(table), orders=(3,)).orders == (3,)
+
+    def test_conditional_ipr_on_rows(self, table):
+        args = (2, 3.0, 0.9, 0.9, 60)
+        with pytest.raises(InsufficientDataError):
+            conditional_ipr(table, 2, 1e-9, 0.5, 0.5, 60)
+        from_table = conditional_ipr(table, *args)
+        from_rows = conditional_ipr(list(table), *args)
+        assert from_table.count >= 100
+        assert from_table.values.tobytes() == from_rows.values.tobytes()
+        assert conditional_ipr(iter(table), *args).values.tobytes() == from_table.values.tobytes()
+
+    def test_rows_cross_chunk_boundaries(self, table, monkeypatch, tmp_path):
+        from eigipr.output import write_records_csv
+
+        whole = list(table)
+        write_records_csv(table, tmp_path / "one.csv")
+        monkeypatch.setattr(eigipr.core, "_ROW_CHUNK", 7)
+        assert len(table) > 7 * 3
+        assert list(table) == whole
+        write_records_csv(table, tmp_path / "chunked.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_mismatched_column_lengths_rejected(self, table):
+        with pytest.raises(ValueError, match="differ in length"):
+            dataclasses.replace(table, re=table.re[:-1])
 
 
 class TestConditionalIpr:

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from eigipr import EigRecord
+from eigipr import EigRecord, Records
 from eigipr.output import (
     read_records_csv,
     write_records_csv,
@@ -48,6 +48,14 @@ class TestRecordsCsv:
         lines = path.read_text().splitlines()
         assert lines == ["trial,idx,re_lambda,im_lambda,is_real,ipr_q2,ipr_q3,ipr_q4,residual"]
 
+    def test_empty_table_keeps_its_orders(self, tmp_path):
+        # A table knows its orders with no entries, unlike an empty list of rows.
+        path = tmp_path / "empty.csv"
+        write_records_csv(Records.from_rows([], orders=(3, 2)), path)
+        assert path.read_text().splitlines() == ["trial,idx,re_lambda,im_lambda,is_real,ipr_q2,ipr_q3,residual"]
+        back = read_records_csv(path)
+        assert len(back) == 0 and back.orders == (2, 3)
+
     def test_round_trip_exact(self, tmp_path):
         # 17 significant digits reproduce every double exactly
         rng = np.random.default_rng(1)
@@ -58,7 +66,18 @@ class TestRecordsCsv:
         ]
         path = tmp_path / "r.csv"
         write_records_csv(records, path)
-        assert read_records_csv(path) == records
+        back = read_records_csv(path)
+        assert isinstance(back, Records)
+        assert back == records
+        assert back == Records.from_rows(records)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records_csv([make_record(0, 0, 1.0, 0.5)], path)
+        with open(path, "a", newline="") as fh:
+            fh.write("0,1,1.0,0.5,0,2.0\r\n")
+        with pytest.raises(ValueError, match="header"):
+            read_records_csv(path)
 
     def test_bytes_match_csv_writer(self, tmp_path, capsys):
         q_set = (2, 3, 8)
@@ -77,13 +96,24 @@ class TestRecordsCsv:
         capsys.readouterr()
         write_records_csv(records, "-", q_set=q_set)
         assert capsys.readouterr().out == expected
+        write_records_csv(Records.from_rows(records), path)
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_partial_file_removed_on_failure(self, tmp_path):
+        # A missing order is found before the file is opened: what was there stays.
         path = tmp_path / "bad.csv"
+        path.write_bytes(b"keep me\n")
         bad = [make_record(0, 0, 1.0, 0.0, q_set=(2,)), make_record(0, 1, 1.0, 0.0, q_set=(3,))]
         with pytest.raises(KeyError):
             write_records_csv(bad, path, q_set=(2,))
-        assert not path.exists()
+        with pytest.raises(KeyError):
+            write_records_csv(Records.from_rows(bad[:1]), path, q_set=(2, 3))
+        assert path.read_bytes() == b"keep me\n"
+        # A write that fails part way removes its partial file.
+        partial = tmp_path / "partial.csv"
+        with pytest.raises(ValueError):
+            write_table_csv(["x"], [(1.0,), ("not a number",)], partial)
+        assert not partial.exists()
 
 
 class TestDensityCsv:

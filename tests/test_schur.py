@@ -294,6 +294,18 @@ class TestBlockMatchesPerVector:
         assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v, _ in want]).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("y", [0.2, 1.0])
+    def test_zero_rows(self, y):
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        vecs, S = synthetic_eigvec_sample(50, y, 0.3, rng, size=0)
+        assert vecs.shape == (0, 50) and vecs.dtype == complex and S.shape == (0,)
+        assert rng.bit_generator.state == state
+        s, t = st_from_S(np.empty(0))
+        assert s.shape == t.shape == (0,)
+        o1, o2 = sample_stiefel_pair(50, rng, size=0)
+        assert eigvec_from_block(0.8, 0.6, o1, o2).shape == (0, 50)
+
     @pytest.mark.parametrize("n", BLOCK_NS)
     def test_without_size(self, n):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
