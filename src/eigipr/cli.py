@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -53,27 +54,29 @@ def _ensemble_kind(name):
     return kind
 
 
+def _split(value, sep):
+    return value if isinstance(value, (list, tuple)) else str(value).split(sep)
+
+
 def _q_list(value):
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return tuple(sorted(int(p) for p in parts))
+    return tuple(sorted(int(p) for p in _split(value, ",")))
 
 
 def _int_list(value):
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
-    return [int(p) for p in parts]
+    return [int(p) for p in _split(value, ",")]
 
 
 def _grid(value):
-    lo, hi, n = value if isinstance(value, (list, tuple)) else str(value).split(":")
+    lo, hi, n = _split(value, ":")
     return float(lo), float(hi), int(n)
 
 
 def _pair(value):
-    a, b = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    a, b = _split(value, ",")
     return float(a), float(b)
 
 
-# name -> (converter, default); _REQUIRED marks parameters with no default.
+# The parameters of the matrix commands sample-spectrum and figure.
 _COMMON_RUN = {
     "ensemble": (str, _REQUIRED),
     "N": (int, _REQUIRED),
@@ -88,69 +91,15 @@ _COMMON_RUN = {
     "out": (str, "-"),
 }
 
-_COMMANDS = {
-    "sample-spectrum": dict(_COMMON_RUN, q=(_q_list, (2,))),
-    "figure": dict(_COMMON_RUN, q=(int, 2), normalization=(str, "none")),
-    "theory-density": {
-        "q": (int, 2),
-        "y": (float, _REQUIRED),
-        "tau": (float, 0.0),
-        "grid": (_grid, None),
-        "out": (str, "-"),
-    },
-    "theory-cdf": {
-        "q": (int, 2),
-        "y": (float, _REQUIRED),
-        "tau": (float, 0.0),
-        "grid": (_grid, None),
-        "out": (str, "-"),
-    },
-    "theory-sample": {
-        "q": (int, 2),
-        "y": (float, _REQUIRED),
-        "tau": (float, 0.0),
-        "n": (int, 10000),
-        "seed": (int, None),
-        "out": (str, "-"),
-    },
-    "theory-mean": {
-        "q": (int, 2),
-        "y": (float, _REQUIRED),
-        "tau": (float, 0.0),
-        "N": (int, None),
-        "out": (str, "-"),
-    },
-    "compare": {
-        "ensemble": (str, "elliptic"),
-        "N": (int, _REQUIRED),
-        "tau": (float, 0.0),
-        "trials": (int, _REQUIRED),
-        "q": (int, 2),
-        "y": (float, 0.5),
-        "relwidth": (float, 0.1),
-        "xwindow": (float, 0.5),
-        "threshold": (float, 0.06),
-        "seed": (int, None),
-        "workers": (int, None),
-        "out": (str, "-"),
-    },
-    "convergence": {
-        "q": (int, 2),
-        "y": (float, 0.5),
-        "tau": (float, 0.0),
-        "N_list": (_int_list, [256, 1024, 4096]),
-        "trials": (int, 1000),
-        "st": (_pair, None),
-        "seed": (int, None),
-        "out": (str, "-"),
-    },
-}
+# The law parameters of the theory commands, and the two that share a grid.
+_LAW = {"q": (int, 2), "y": (float, _REQUIRED), "tau": (float, 0.0)}
+_THEORY_CURVE = dict(_LAW, grid=(_grid, None), out=(str, "-"))
 
 
 def _build_parser():
     parser = _Parser(prog="eigipr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, params in _COMMANDS.items():
+    for name, (params, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file with parameter values")
         for key in params:
@@ -161,7 +110,7 @@ def _build_parser():
 
 def _resolve(command, args):
     """Merge defaults, config file and explicit flags; convert types."""
-    schema = _COMMANDS[command]
+    schema, _ = _COMMANDS[command]
     merged = {}
     if args.config is not None:
         try:
@@ -229,25 +178,11 @@ def _make_run_config(p, q_set):
     )
 
 
-def _default_grid(q, n=500):
-    lo, hi = factorial(q), double_factorial_odd(q)
-    return np.linspace(lo, hi, n + 2)[1:-1]
-
-
 def _grid_points(p):
     if p["grid"] is None:
-        return _default_grid(p["q"])
+        return np.linspace(factorial(p["q"]), double_factorial_odd(p["q"]), 502)[1:-1]
     lo, hi, n = p["grid"]
     return np.linspace(lo, hi, n)
-
-
-def _emit_json(payload, out):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _run_sample_spectrum(p):
@@ -272,17 +207,9 @@ def _run_figure(p):
     return 0
 
 
-def _run_theory_density(p):
+def _run_theory_curve(law, column, p):
     xs = _grid_points(p)
-    density = theory.density_ell(p["q"], xs, p["y"], p["tau"])
-    output.write_table_csv(["x", "density"], zip(xs, density), p["out"])
-    return 0
-
-
-def _run_theory_cdf(p):
-    xs = _grid_points(p)
-    cdf = theory.cdf_ell(p["q"], xs, p["y"], p["tau"])
-    output.write_table_csv(["x", "cdf"], zip(xs, cdf), p["out"])
+    output.write_table_csv(["x", column], zip(xs, law(p["q"], xs, p["y"], p["tau"])), p["out"])
     return 0
 
 
@@ -307,7 +234,7 @@ def _run_theory_mean(p):
         result["mean_finite_N"] = theory.mean_ipr_depletion_finite_N(
             p["N"], p["q"], p["y"], p["tau"]
         )
-    _emit_json(result, p["out"])
+    output.write_json(result, p["out"])
     return 0
 
 
@@ -317,6 +244,15 @@ def _run_compare(p):
     # and the limit law is undefined.  Refuse before any matrix is sampled.
     if not p["tau"] < 1.0:
         raise ValueError(f"compare needs tau < 1, got {p['tau']}")
+    # The law tested is the elliptic one at the raw y and tau.  Real Ginibre
+    # is its tau = 0 case (its sampler ignores tau); the other kinds need the
+    # local density of ROADMAP item 4 first.
+    kind = config.spec.kind
+    if not (kind == "elliptic_real" or kind == "ginibre_real" and p["tau"] == 0.0):
+        raise ValueError(
+            f"compare tests the elliptic law, which does not apply to {p['ensemble']} at tau={p['tau']}; "
+            "only elliptic, and ginibre-real at tau 0, until ROADMAP item 4 (local universality) lands"
+        )
     records = experiments.spectrum_ipr_map(config)
     dist = experiments.conditional_ipr(
         records, p["q"], p["y"], p["relwidth"], p["xwindow"], config.spec.N
@@ -324,7 +260,7 @@ def _run_compare(p):
     ks = experiments.ks_distance(
         dist, lambda xs: theory.cdf_ell(p["q"], xs, p["y"], p["tau"])
     )
-    _emit_json(
+    output.write_json(
         {
             "ensemble": config.spec.kind,
             "N": config.spec.N,
@@ -356,15 +292,44 @@ def _run_convergence(p):
     return 0
 
 
-_RUNNERS = {
-    "sample-spectrum": _run_sample_spectrum,
-    "figure": _run_figure,
-    "theory-density": _run_theory_density,
-    "theory-cdf": _run_theory_cdf,
-    "theory-sample": _run_theory_sample,
-    "theory-mean": _run_theory_mean,
-    "compare": _run_compare,
-    "convergence": _run_convergence,
+# command -> (parameters, runner).  A parameter maps its name to
+# (converter, default); _REQUIRED marks parameters with no default.
+_COMMANDS = {
+    "sample-spectrum": (dict(_COMMON_RUN, q=(_q_list, (2,))), _run_sample_spectrum),
+    "figure": (dict(_COMMON_RUN, q=(int, 2), normalization=(str, "none")), _run_figure),
+    "theory-density": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.density_ell, "density")),
+    "theory-cdf": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.cdf_ell, "cdf")),
+    "theory-sample": (dict(_LAW, n=(int, 10000), seed=(int, None), out=(str, "-")), _run_theory_sample),
+    "theory-mean": (dict(_LAW, N=(int, None), out=(str, "-")), _run_theory_mean),
+    "compare": (
+        {
+            "ensemble": (str, "elliptic"),
+            "N": (int, _REQUIRED),
+            "tau": (float, 0.0),
+            "trials": (int, _REQUIRED),
+            "q": (int, 2),
+            "y": (float, 0.5),
+            "relwidth": (float, 0.1),
+            "xwindow": (float, 0.5),
+            "threshold": (float, 0.06),
+            "seed": (int, None),
+            "workers": (int, None),
+            "out": (str, "-"),
+        },
+        _run_compare,
+    ),
+    "convergence": (
+        dict(
+            _LAW,
+            y=(float, 0.5),
+            N_list=(_int_list, [256, 1024, 4096]),
+            trials=(int, 1000),
+            st=(_pair, None),
+            seed=(int, None),
+            out=(str, "-"),
+        ),
+        _run_convergence,
+    ),
 }
 
 
@@ -378,7 +343,7 @@ def main(argv=None):
         return 1
     _echo(args.command, params)
     try:
-        return _RUNNERS[args.command](params)
+        return _COMMANDS[args.command][1](params)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,6 +99,27 @@ class Records:
         return tuple(self.ipr)
 
     @classmethod
+    def from_entries(cls, entries, orders):
+        """The table of per-entry tuples ``(trial, idx, re, im, is_real, ipr..., residual)``.
+
+        Each tuple holds one IPR value per order in ``orders``, in that order;
+        the table keeps the IPR columns in ascending order whatever the order
+        given.
+        """
+        orders = [int(q) for q in orders]
+        cols = list(zip(*entries)) or [()] * (len(orders) + 6)
+        trial, idx, re, im, is_real, *iprs, residual = cols
+        return cls(
+            trial=_int_column(trial),
+            idx=_int_column(idx),
+            re=np.array(re, dtype=float),
+            im=np.array(im, dtype=float),
+            is_real=np.array(is_real, dtype=bool),
+            residual=np.array(residual, dtype=float),
+            ipr={q: np.array(col, dtype=float) for q, col in sorted(zip(orders, iprs), key=lambda qc: qc[0])},
+        )
+
+    @classmethod
     def from_rows(cls, rows, orders=None):
         """The table of an iterable of `EigRecord` rows.
 
@@ -108,14 +129,13 @@ class Records:
         rows = list(rows)
         if orders is None:
             orders = rows[0].ipr if rows else ()
-        return cls(
-            trial=_int_column([r.trial_id for r in rows]),
-            idx=_int_column([r.idx for r in rows]),
-            re=np.array([r.re_lambda for r in rows], dtype=float),
-            im=np.array([r.im_lambda for r in rows], dtype=float),
-            is_real=np.array([r.is_real_eig for r in rows], dtype=bool),
-            residual=np.array([r.residual for r in rows], dtype=float),
-            ipr={int(q): np.array([r.ipr[q] for r in rows], dtype=float) for q in sorted(orders)},
+        orders = list(orders)
+        return cls.from_entries(
+            [
+                (r.trial_id, r.idx, r.re_lambda, r.im_lambda, r.is_real_eig, *[r.ipr[q] for q in orders], r.residual)
+                for r in rows
+            ],
+            orders,
         )
 
     @classmethod

@@ -1,4 +1,4 @@
-"""CSV and SVG export with locale-independent, round-trip precision.
+"""CSV, JSON and SVG export with locale-independent, round-trip precision.
 
 Numeric fields are printed with 17 significant digits so parsing them back
 recovers the exact double.  Writers remove their partial file when the write
@@ -8,16 +8,16 @@ fails; the path ``'-'`` means standard output.
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from .core import Records, _int_column, as_records, double_factorial_odd, factorial
+from .core import Records, as_records, double_factorial_odd, factorial
 
 __all__ = [
     "read_records_csv",
+    "write_json",
     "write_records_csv",
     "write_svg_scatter",
     "write_table_csv",
@@ -72,6 +72,7 @@ def read_records_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        orders = [name.removeprefix("ipr_q") for name in header[5:-1]]
         # Each row parsed as it is read: no CSV text is kept.
         entries = []
         for row in reader:
@@ -79,20 +80,18 @@ def read_records_csv(path):
                 raise ValueError(f"{path}: a row does not have the header's {len(header)} fields")
             trial, idx, re, im, is_real, *numbers = row
             entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
-    cols = list(zip(*entries)) or [()] * len(header)
-    return Records(
-        trial=_int_column(cols[0]),
-        idx=_int_column(cols[1]),
-        re=np.array(cols[2], dtype=float),
-        im=np.array(cols[3], dtype=float),
-        is_real=np.array(cols[4], dtype=bool),
-        residual=np.array(cols[-1], dtype=float),
-        ipr={
-            int(name[len("ipr_q") :]): np.array(col, dtype=float)
-            for name, col in zip(header, cols)
-            if name.startswith("ipr_q")
-        },
-    )
+    return Records.from_entries(entries, orders)
+
+
+def write_json(payload, path):
+    """Write ``payload`` as JSON: sorted keys, an indent of 2 and a final newline.
+
+    The text is built before ``path`` is opened, so a payload that cannot be
+    serialized raises `TypeError` and leaves an existing file as it was.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with _sink(path) as fh:
+        fh.write(text)
 
 
 def write_table_csv(header, rows, path):
@@ -104,6 +103,10 @@ def write_table_csv(header, rows, path):
             [v if isinstance(v, int) else format(float(v), ".17g") for v in row] for row in rows
         )
 
+
+# Side of the square SVG canvas in pixels, and the radius of each point.
+_SVG_SIZE = 640
+_POINT_RADIUS = 2.0
 
 # Three-stop linear color map (dark violet -> teal -> yellow); cosmetic only.
 _STOPS = ((68, 1, 84), (33, 145, 140), (253, 231, 37))
@@ -118,7 +121,7 @@ def _color(t):
     return "#%02x%02x%02x" % tuple(round(a + (b - a) * u) for a, b in zip(lo, hi))
 
 
-def write_svg_scatter(records, q, path, size=640, point_radius=2.0):
+def write_svg_scatter(records, q, path):
     """Self-contained SVG scatter of eigenvalues colored by their order-``q`` IPR.
 
     ``records`` is a `Records` table or an iterable of `EigRecord` rows.  The
@@ -135,33 +138,33 @@ def write_svg_scatter(records, q, path, size=640, point_radius=2.0):
     cx = 0.5 * (max(xs) + min(xs))
     cy = 0.5 * (max(ys) + min(ys))
     margin = 20.0
-    scale = (size - 2 * margin) / span
+    scale = (_SVG_SIZE - 2 * margin) / span
 
     def to_px(x, y):
         return (
-            0.5 * size + (x - cx) * scale,
-            0.5 * size - (y - cy) * scale,
+            0.5 * _SVG_SIZE + (x - cx) * scale,
+            0.5 * _SVG_SIZE - (y - cy) * scale,
         )
 
     with _sink(path) as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
-            f'<rect width="{size}" height="{size}" fill="white"/>\n'
+            f'width="{_SVG_SIZE}" height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
+            f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>\n'
         )
         y0 = to_px(0.0, 0.0)[1]
-        if 0.0 <= y0 <= size:
+        if 0.0 <= y0 <= _SVG_SIZE:
             fh.write(
-                f'<line x1="0" y1="{y0:.2f}" x2="{size}" y2="{y0:.2f}" '
+                f'<line x1="0" y1="{y0:.2f}" x2="{_SVG_SIZE}" y2="{y0:.2f}" '
                 'stroke="#cccccc" stroke-width="1"/>\n'
             )
         for x, y, val in zip(xs, ys, vals):
             px, py = to_px(x, y)
             col = _color((val - lo) / (hi - lo))
-            fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{point_radius}" fill="{col}"/>\n')
+            fh.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{_POINT_RADIUS}" fill="{col}"/>\n')
         fh.write(
-            f'<rect x="0.5" y="0.5" width="{size - 1}" height="{size - 1}" '
+            f'<rect x="0.5" y="0.5" width="{_SVG_SIZE - 1}" height="{_SVG_SIZE - 1}" '
             'fill="none" stroke="#444444"/>\n'
         )
         fh.write("</svg>\n")

@@ -117,15 +117,6 @@ def eigvec_from_block(s, t, o1, o2):
     return vec
 
 
-def _sample_rows(y, tau, rng, g):
-    """Per-row draws for each row of ``g``: one `theory.sample_S` call, then the pair's Gaussians."""
-    S = np.empty(len(g))
-    for k in range(len(g)):
-        S[k] = theory.sample_S(y, tau, rng)
-        rng.standard_normal(out=g[k])
-    return S
-
-
 def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """Sample an eigenvector with the law conditioned on ``lam = x + i y / sqrt(N)``.
 
@@ -143,26 +134,8 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
         ``size``, the ``(size, n)`` block and the ``size`` values of ``S``.
     """
     n = _check_dim(n)
-    rows = 1 if size is None else int(size)
-    sigma, a = theory._proposal(y, tau)
-    raw = np.empty((rows, *theory._round_shape(a, 1)))
-    g = np.empty((rows, 2, n))
-    state = rng.bit_generator.state
-    for k in range(rows):
-        theory._draw_round(rng, a, raw[k])
-        rng.standard_normal(out=g[k])
-    # A one-sample `sample_S` call draws one round and keeps its first
-    # accepted candidate, so accepting the whole block at once gives the
-    # same S.  A row with no accepted candidate would have drawn a second
-    # round before its Gaussians: redo the block one row at a time.
-    z, keep = theory._accept(a, raw)
-    first = keep.argmax(axis=-1)
-    at = np.arange(rows)
-    if keep[at, first].all():
-        S = z[at, first] * sigma
-    else:
-        rng.bit_generator.state = state
-        S = _sample_rows(y, tau, rng, g)
+    g = np.empty((1 if size is None else int(size), 2, n))
+    S = theory._sample_S_rows(y, tau, rng, g)
     s, t = st_from_S(S)
     vec = eigvec_from_block(s, t, *_gram_schmidt(g))
     return (vec[0], float(S[0])) if size is None else (vec, S)

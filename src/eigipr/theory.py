@@ -200,6 +200,37 @@ def sample_S(y, tau, rng, size=None):
     return float(out[0]) if scalar else out
 
 
+def _sample_S_rows(y, tau, rng, g):
+    """One ``S`` per row of ``g``, a ``(rows, 2, n)`` buffer that receives the rows' Gaussians.
+
+    The generator is consumed as by ``rows`` rounds of a scalar `sample_S`
+    call followed by ``standard_normal(out=g[k])``, and row ``k`` gets that
+    round's bits.  A one-sample `sample_S` call draws one round and keeps its
+    first accepted candidate, so the block is drawn and accepted at once.  A
+    row with no accepted candidate would have drawn a second round before its
+    Gaussians: the generator state is then restored and the block redrawn one
+    row at a time.
+    """
+    sigma, a = _proposal(y, tau)
+    rows = len(g)
+    raw = np.empty((rows, *_round_shape(a, 1)))
+    state = rng.bit_generator.state
+    for k in range(rows):
+        _draw_round(rng, a, raw[k])
+        rng.standard_normal(out=g[k])
+    z, keep = _accept(a, raw)
+    first = keep.argmax(axis=-1)
+    at = np.arange(rows)
+    if keep[at, first].all():
+        return z[at, first] * sigma
+    rng.bit_generator.state = state
+    S = np.empty(rows)
+    for k in range(rows):
+        S[k] = sample_S(y, tau, rng)
+        rng.standard_normal(out=g[k])
+    return S
+
+
 def sample_ell(q, y, tau, rng, size=None):
     """Sample the limiting IPR level ``ell = g(q, S)``, supported on ``(q!, (2q-1)!!)``."""
     s = sample_S(y, tau, rng, size=size)

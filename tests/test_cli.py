@@ -105,6 +105,15 @@ class TestTheoryCommands:
         report = json.loads(out)
         assert 2.0 <= report["mean_limit"] < 2.001
 
+    def test_mean_same_bytes_to_stdout_and_file(self, tmp_path, capsys):
+        args = ["theory-mean", "--q", "3", "--y", "0.5", "--tau", "0.4", "--N", "100"]
+        code, out, _ = run_cli([*args, "--out", "-"], capsys)
+        assert code == 0
+        path = tmp_path / "mean.json"
+        code, to_stdout, _ = run_cli([*args, "--out", str(path)], capsys)
+        assert code == 0 and to_stdout == ""
+        assert path.read_bytes() == out.encode("utf-8") and out.endswith("}\n")
+
 
 class TestSampleSpectrum:
     def test_records_csv_header_and_roundtrip(self, tmp_path, capsys):
@@ -195,7 +204,16 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--y", "0", "y_center"), ("--tau", "1", "tau < 1"), ("--xwindow", "-1", "x_window")],
+        [
+            ("--y", "0", "y_center"),
+            ("--tau", "1", "tau < 1"),
+            ("--xwindow", "-1", "x_window"),
+            # The elliptic law does not apply to these kinds.
+            ("--ensemble", "ginibre-complex", "ROADMAP item 4"),
+            ("--ensemble", "induced", "ROADMAP item 4"),
+            ("--ensemble", "orthogonal-sum", "ROADMAP item 4"),
+            ("--ensemble", "permutation-sum", "ROADMAP item 4"),
+        ],
     )
     def test_bad_bin_fails_before_any_trial(self, capsys, monkeypatch, flag, value, message):
         import eigipr.experiments as exp
@@ -210,6 +228,23 @@ class TestCompare:
         assert code == 2
         assert message in err
         assert trials == []
+
+    def test_real_ginibre_only_at_tau_zero(self, tmp_path, capsys, monkeypatch):
+        # The real Ginibre sampler ignores tau, while the law tested uses it.
+        import eigipr.experiments as exp
+
+        out = tmp_path / "report.json"
+        args = ["compare", "--ensemble", "ginibre-real", "--N", "100", "--trials", "300", "--seed", "4",
+                "--relwidth", "0.2", "--xwindow", "0.9", "--out", str(out)]
+        trials = []
+        real_run = exp._run_trial
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t) or real_run(c, t))
+        code, _, err = run_cli([*args, "--tau", "0.5"], capsys)
+        assert code == 2 and "ROADMAP item 4" in err and trials == []
+        code, _, _ = run_cli([*args, "--tau", "0"], capsys)
+        assert code == 0 and len(trials) == 300
+        report = json.loads(out.read_text())
+        assert report["ensemble"] == "ginibre_real" and report["n_samples"] >= 100
 
 
 class TestConvergence:

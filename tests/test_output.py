@@ -7,6 +7,7 @@ import pytest
 from eigipr import EigRecord, Records
 from eigipr.output import (
     read_records_csv,
+    write_json,
     write_records_csv,
     write_svg_scatter,
     write_table_csv,
@@ -71,6 +72,22 @@ class TestRecordsCsv:
         assert back == records
         assert back == Records.from_rows(records)
 
+    def test_header_order_of_iprs_not_kept(self, tmp_path):
+        # A CSV may list its IPR columns in any order; the table holds them ascending.
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q3,ipr_q2,residual\r\n"
+            "0,0,0.5,0.25,0,4.5,2.25,1e-15\r\n"
+            "1,3,-0.5,0,1,14,2.5,2e-15\r\n"
+        )
+        table = read_records_csv(path)
+        assert table.orders == (2, 3)
+        assert table.ipr[2].tolist() == [2.25, 2.5] and table.ipr[3].tolist() == [4.5, 14.0]
+        assert table == Records.from_rows(list(table))
+        assert table == Records.from_entries(
+            [(0, 0, 0.5, 0.25, False, 2.25, 4.5, 1e-15), (1, 3, -0.5, 0.0, True, 2.5, 14.0, 2e-15)], (2, 3)
+        )
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         write_records_csv([make_record(0, 0, 1.0, 0.5)], path)
@@ -114,6 +131,25 @@ class TestRecordsCsv:
         with pytest.raises(ValueError):
             write_table_csv(["x"], [(1.0,), ("not a number",)], partial)
         assert not partial.exists()
+
+
+class TestJson:
+    def test_sorted_indented_with_final_newline(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        payload = {"b": [1, 2.5], "a": {"d": True, "c": None}}
+        write_json(payload, path)
+        want = '{\n  "a": {\n    "c": null,\n    "d": true\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        assert path.read_text() == want
+        capsys.readouterr()
+        write_json(payload, "-")
+        assert capsys.readouterr().out == want
+
+    def test_unserializable_payload_leaves_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b"keep me\n")
+        with pytest.raises(TypeError):
+            write_json({"a": 1, "b": object()}, path)
+        assert path.read_bytes() == b"keep me\n"
 
 
 class TestDensityCsv:

@@ -279,15 +279,16 @@ class TestBlockMatchesPerVector:
         # At a = 2y / sqrt(1 - tau**2) = 0.5 the Gaussian proposal rejects all
         # 20 candidates of a round with probability 0.69**20 ~ 6e-4, so about
         # 2.5 of these 80 blocks of 50 rows must be redone one row at a time.
-        import eigipr.schur as schur_mod
+        # Only a redo calls the scalar sampler, once per row of its block.
+        import eigipr.theory as theory_mod
 
-        rollbacks = []
-        per_row = schur_mod._sample_rows
-        monkeypatch.setattr(schur_mod, "_sample_rows", lambda *a: rollbacks.append(1) or per_row(*a))
+        calls = []
+        scalar = theory_mod.sample_S
+        monkeypatch.setattr(theory_mod, "sample_S", lambda *a: calls.append(1) or scalar(*a))
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         blocks = [synthetic_eigvec_sample(3, 0.25, 0.0, rng, size=50) for _ in range(80)]
         want = [ref.synthetic_eigvec_sample(3, 0.25, 0.0, ref_rng) for _ in range(4000)]
-        assert 0 < len(rollbacks) < 80
+        assert 0 < len(calls) < 4000 and len(calls) % 50 == 0
         vecs = np.concatenate([v for v, _ in blocks])
         assert vecs.tobytes() == np.array([v for v, _ in want]).tobytes()
         assert np.concatenate([S for _, S in blocks]).tobytes() == np.array([x for _, x in want]).tobytes()
