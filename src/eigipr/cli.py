@@ -145,7 +145,10 @@ def _resolve(command, args):
             params[key] = default
     if "seed" in schema and params.get("seed") is None:
         env = os.environ.get("IPR_RMT_SEED")
-        params["seed"] = int(env) if env else int.from_bytes(os.urandom(8), "little")
+        try:
+            params["seed"] = int(env) if env else int.from_bytes(os.urandom(8), "little")
+        except ValueError as exc:
+            raise UsageError(f"bad value for IPR_RMT_SEED: {exc}")
     if "workers" in schema and params.get("workers") is None:
         params["workers"] = os.cpu_count() or 1
     return params

@@ -99,16 +99,9 @@ class Records:
         return tuple(self.ipr)
 
     @classmethod
-    def from_entries(cls, entries, orders):
-        """The table of per-entry tuples ``(trial, idx, re, im, is_real, ipr..., residual)``.
-
-        Each tuple holds one IPR value per order in ``orders``, in that order;
-        the table keeps the IPR columns in ascending order whatever the order
-        given.
-        """
-        orders = [int(q) for q in orders]
-        cols = list(zip(*entries)) or [()] * (len(orders) + 6)
-        trial, idx, re, im, is_real, *iprs, residual = cols
+    def _from_columns(cls, trial, idx, re, im, is_real, iprs, residual, orders):
+        """The table of per-column sequences, ``iprs`` holding one sequence per order in ``orders``."""
+        ipr = sorted(zip(map(int, orders), iprs), key=lambda qc: qc[0])
         return cls(
             trial=_int_column(trial),
             idx=_int_column(idx),
@@ -116,8 +109,20 @@ class Records:
             im=np.array(im, dtype=float),
             is_real=np.array(is_real, dtype=bool),
             residual=np.array(residual, dtype=float),
-            ipr={q: np.array(col, dtype=float) for q, col in sorted(zip(orders, iprs), key=lambda qc: qc[0])},
+            ipr={q: np.array(col, dtype=float) for q, col in ipr},
         )
+
+    @classmethod
+    def from_entries(cls, entries, orders):
+        """The table of per-entry tuples ``(trial, idx, re, im, is_real, ipr..., residual)``.
+
+        Each tuple holds one IPR value per order in ``orders``, in that order;
+        the table keeps the IPR columns in ascending order whatever the order
+        given.
+        """
+        orders = list(orders)
+        trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * (len(orders) + 6)
+        return cls._from_columns(trial, idx, re, im, is_real, iprs, residual, orders)
 
     @classmethod
     def from_rows(cls, rows, orders=None):
@@ -130,11 +135,14 @@ class Records:
         if orders is None:
             orders = rows[0].ipr if rows else ()
         orders = list(orders)
-        return cls.from_entries(
-            [
-                (r.trial_id, r.idx, r.re_lambda, r.im_lambda, r.is_real_eig, *[r.ipr[q] for q in orders], r.residual)
-                for r in rows
-            ],
+        return cls._from_columns(
+            [r.trial_id for r in rows],
+            [r.idx for r in rows],
+            [r.re_lambda for r in rows],
+            [r.im_lambda for r in rows],
+            [r.is_real_eig for r in rows],
+            [[r.ipr[q] for r in rows] for q in orders],
+            [r.residual for r in rows],
             orders,
         )
 
@@ -201,7 +209,11 @@ def ipr(x, q):
         raise ValueError(f"ipr order must be >= 1, got {q}")
     # C order whatever the caller's layout: numpy sums pairwise only along a
     # contiguous inner loop, so each row then gets the bits of a 1-D call.
+    # `np.abs` returns a fresh array, which the steps below overwrite; integer
+    # and bool magnitudes become float64, as `a / amax` would make them.
     a = np.abs(np.asarray(x), order="C")
+    if a.dtype.kind in "biu":
+        a = a.astype(float)
     if a.ndim not in (1, 2):
         raise ValueError(f"ipr takes a vector or a 2-D block of row vectors, got shape {a.shape}")
     n = a.shape[-1]
@@ -215,13 +227,13 @@ def ipr(x, q):
     if amax.min() == 0.0:
         raise ValueError("ipr of the zero vector")
     # Scale by the largest magnitude, then normalize, before raising to the
-    # 2q-th power: extreme vectors neither overflow nor underflow.  The later
-    # steps reuse `u` in place, with the bits of the out-of-place expressions.
-    u = a / amax
-    np.square(u, out=u)
-    u /= u.sum(axis=-1, keepdims=True)
-    u **= q
-    out = float(n) ** (q - 1) * u.sum(axis=-1)
+    # 2q-th power: extreme vectors neither overflow nor underflow.  Every
+    # step works in place on `a`, with the bits of the out-of-place expressions.
+    a /= amax
+    np.square(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    a **= q
+    out = float(n) ** (q - 1) * a.sum(axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -50,10 +50,12 @@ RESIDUAL_RTOL = 1e-9
 VALID_ORDERS = frozenset(range(2, 9))
 
 # Entries per block of synthetic eigenvectors in `convergence_study`: enough
-# rows to spread numpy's per-call cost, few enough that a block's temporaries
-# (128 KiB for the complex block) stay in cache and add well under 1 MB to
-# the peak heap.  Sizes compared in BENCH_conv_block.json.
-_BLOCK_ENTRIES = 8192
+# rows to spread numpy's per-call cost (at N = 1600 a block holds 10 rows),
+# few enough that a block's temporaries (256 KiB for the complex block, which
+# `eigvec_from_block` and `ipr` fill and reuse in place) stay in cache and
+# keep the study's peak heap under 0.8 MB.  Sizes compared in
+# BENCH_conv_block.json and BENCH_synthetic_blocks.json.
+_BLOCK_ENTRIES = 16384
 
 # Eigenvector columns per panel of the residual product in `eig_right`: the
 # two panel buffers take 2 * 64 * 16 * N bytes (0.8 MB at N = 400) instead of
@@ -387,7 +389,7 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     eigenvectors (scale parameter resampled per trial, or fixed mixing
     amplitudes when ``st=(s, t)`` is given) and reports the sample mean and
     standard deviation next to the exact finite-``N`` mean.  Vectors are
-    drawn in blocks of ``max(1, 8192 // N)`` rows, with the generator
+    drawn in blocks of ``max(1, _BLOCK_ENTRIES // N)`` rows, with the generator
     consumed and each IPR computed bit for bit as one vector at a time.
     """
     n_list = [int(n) for n in n_list]

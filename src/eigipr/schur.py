@@ -112,8 +112,11 @@ def eigvec_from_block(s, t, o1, o2):
         raise ValueError("(o1, o2) is not an orthonormal pair")
     if o1.ndim == 2:
         s, t = s[..., None], t[..., None]
-    vec = 1j * s * o1
-    vec += t * o2
+    # One complex allocation, each part written in place: the bits of
+    # ``1j*s*o1 + t*o2`` except that an exactly zero part may change sign.
+    vec = np.empty(np.broadcast_shapes(s.shape, o1.shape, t.shape, o2.shape), dtype=complex)
+    np.multiply(t, o2, out=vec.real)
+    np.multiply(s, o1, out=vec.imag)
     return vec
 
 

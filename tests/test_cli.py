@@ -441,6 +441,17 @@ class TestUsageAndSeeds:
         cfg = json.loads(err.strip().splitlines()[0])
         assert cfg["params"]["seed"] == 424242
 
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IPR_RMT_SEED", "abc")
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(
+            ["theory-sample", "--q", "2", "--y", "1.0", "--n", "10", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "IPR_RMT_SEED" in err
+        assert not out.exists()
+
     def test_defaulted_seed_echoed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("IPR_RMT_SEED", raising=False)
         out = tmp_path / "s.csv"

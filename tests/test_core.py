@@ -98,6 +98,25 @@ class TestIprBlock:
             for q in range(2, 9):
                 assert _rows_bitwise_equal(block, q)
 
+    @pytest.mark.parametrize("shape", [(37,), (6, 37)], ids=["vector", "block"])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged(self, shape, complex_entries, order):
+        # ipr normalises in place, on the magnitudes it computed itself.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape)
+        if complex_entries:
+            x = x + 1j * rng.standard_normal(shape)
+        x = np.asarray(x, order=order)
+        before = x.copy(order="K")
+        ipr(x, 3)
+        assert order == "C" or x.flags.f_contiguous
+        assert x.tobytes(order="K") == before.tobytes(order="K")
+
+    def test_integer_input_as_float(self):
+        assert ipr(np.arange(1, 6), 3) == ipr(np.arange(1.0, 6.0), 3)
+        assert ipr(np.array([True, False, True]), 2) == ipr([1.0, 0.0, 1.0], 2)
+
     def test_vector_returns_float(self):
         assert type(ipr(np.arange(1.0, 5.0), 3)) is float
         assert ipr(np.ones((3, 4)), 2).shape == (3,)

@@ -190,6 +190,28 @@ class TestEigvecFromBlock:
         with pytest.raises(ValueError, match="orthonormal"):
             eigvec_from_block(0.6, 0.8, o1, o2)
 
+    @pytest.mark.parametrize(
+        "rows, per_row",
+        [(None, False), (5, True), (5, False), (0, True)],
+        ids=["vector", "block-per-row-st", "block-scalar-st", "zero-rows"],
+    )
+    def test_bits_of_complex_expression(self, rows, per_row):
+        # The result is written part by part in place; it keeps the bits of
+        # the complex expression ``1j*s*o1 + t*o2``.  Gaussian entries are
+        # never exactly zero, so no zero part can change its sign here.
+        rng = np.random.default_rng(26)
+        o1, o2 = sample_stiefel_pair(33, rng, size=rows)
+        if per_row:
+            s, t = st_from_S(1.0 + rng.standard_exponential(rows))
+            want = 1j * s[:, None] * o1 + t[:, None] * o2
+        else:
+            s, t = st_from_S(1.7)
+            want = 1j * s * o1 + t * o2
+        got = eigvec_from_block(s, t, o1, o2)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.shape == want.shape == o1.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSyntheticEigvec:
     def test_unit_norm_and_scale_range(self):
