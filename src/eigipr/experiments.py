@@ -52,7 +52,7 @@ VALID_ORDERS = frozenset(range(2, 9))
 # Entries per block of synthetic eigenvectors in `convergence_study`: enough
 # rows to spread numpy's per-call cost (at N = 1600 a block holds 10 rows),
 # few enough that a block's temporaries (256 KiB for the complex block, which
-# `eigvec_from_block` and `ipr` fill and reuse in place) stay in cache and
+# `schur._assemble` and `ipr` fill and reuse in place) stay in cache and
 # keep the study's peak heap under 0.8 MB.  Sizes compared in
 # BENCH_conv_block.json and BENCH_synthetic_blocks.json.
 _BLOCK_ENTRIES = 16384
@@ -108,6 +108,15 @@ class InsufficientDataError(RuntimeError):
     """A conditional bin holds fewer samples than the floor."""
 
 
+def _check_bin(y_center, rel_width, x_window):
+    if not y_center > 0.0:
+        raise ValueError(f"y_center must be > 0, got {y_center}")
+    if not 0.0 < rel_width < 1.0:
+        raise ValueError(f"rel_width must be in (0, 1), got {rel_width}")
+    if not x_window > 0.0:
+        raise ValueError(f"x_window must be > 0, got {x_window}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One Monte Carlo experiment: ensemble, trial count, orders, seed, bin."""
@@ -130,12 +139,7 @@ class RunConfig:
             raise ValueError("q_set must not be empty")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not self.y_center > 0.0:
-            raise ValueError(f"y_center must be > 0, got {self.y_center}")
-        if not 0.0 < self.rel_width < 1.0:
-            raise ValueError(f"rel_width must be in (0, 1), got {self.rel_width}")
-        if not self.x_window > 0.0:
-            raise ValueError(f"x_window must be > 0, got {self.x_window}")
+        _check_bin(self.y_center, self.rel_width, self.x_window)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "q_set", tuple(sorted(self.q_set)))
@@ -353,9 +357,10 @@ def conditional_ipr(records, q, y_center, rel_width, x_window, n_dim):
     ``records`` is a `Records` table or an iterable of `EigRecord` rows.
     Keeps complex records with ``sqrt(N) * Im lam`` inside
     ``[y_center (1 - rel_width), y_center (1 + rel_width)]`` and
-    ``|Re lam| <= x_window``.  Raises `InsufficientDataError` below 100
-    selected samples.
+    ``|Re lam| <= x_window``.  Raises `ValueError` for a bin `RunConfig`
+    would reject, and `InsufficientDataError` below 100 selected samples.
     """
+    _check_bin(y_center, rel_width, x_window)
     table = as_records(records, (q,))
     lo = y_center * (1.0 - rel_width)
     hi = y_center * (1.0 + rel_width)
@@ -399,7 +404,8 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     if trials < 2:
         raise ValueError(f"convergence_study needs trials >= 2 for a spread, got {trials}")
     # The exact means first: they validate q and (y, tau) or (s, t) before
-    # any vector is sampled.
+    # any vector is sampled, so the fixed-amplitude blocks are assembled
+    # from Gram-Schmidt pairs without a second check.
     if st is None:
         targets = [theory.mean_ipr_depletion_finite_N(n, q, y, tau) for n in n_list]
     else:
@@ -414,7 +420,7 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
             if st is None:
                 vecs, _ = schur.synthetic_eigvec_sample(n, y, tau, rng, size=size)
             else:
-                vecs = schur.eigvec_from_block(s, t, *schur.sample_stiefel_pair(n, rng, size=size))
+                vecs = schur._assemble(s, t, *schur.sample_stiefel_pair(n, rng, size=size))
             vals[k : k + size] = ipr(vecs, q)
         std = float(vals.std(ddof=1))
         rows.append(

@@ -112,9 +112,19 @@ def eigvec_from_block(s, t, o1, o2):
         raise ValueError("(o1, o2) is not an orthonormal pair")
     if o1.ndim == 2:
         s, t = s[..., None], t[..., None]
-    # One complex allocation, each part written in place: the bits of
-    # ``1j*s*o1 + t*o2`` except that an exactly zero part may change sign.
-    vec = np.empty(np.broadcast_shapes(s.shape, o1.shape, t.shape, o2.shape), dtype=complex)
+    return _assemble(s, t, o1, o2)
+
+
+def _assemble(s, t, o1, o2):
+    """``i*s*O1 + t*O2`` without `eigvec_from_block`'s checks.
+
+    For pairs the caller knows to be orthonormal, such as those `_gram_schmidt`
+    has just built, with amplitudes already checked; ``s`` and ``t`` must
+    broadcast against ``o1`` and ``o2`` as they stand.  One complex
+    allocation, each part written in place: the bits of ``1j*s*o1 + t*o2``
+    except that an exactly zero part may change sign.
+    """
+    vec = np.empty(np.broadcast_shapes(np.shape(s), o1.shape, np.shape(t), o2.shape), dtype=complex)
     np.multiply(t, o2, out=vec.real)
     np.multiply(s, o1, out=vec.imag)
     return vec
@@ -140,5 +150,5 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     g = np.empty((1 if size is None else int(size), 2, n))
     S = theory._sample_S_rows(y, tau, rng, g)
     s, t = st_from_S(S)
-    vec = eigvec_from_block(s, t, *_gram_schmidt(g))
+    vec = _assemble(s[:, None], t[:, None], *_gram_schmidt(g))
     return (vec[0], float(S[0])) if size is None else (vec, S)

@@ -418,6 +418,27 @@ class TestRecords:
 
 
 class TestConditionalIpr:
+    @pytest.mark.parametrize(
+        "y_center, rel_width, x_window, field",
+        [
+            (0.0, 0.1, 0.5, "y_center"),
+            (math.nan, 0.1, 0.5, "y_center"),
+            (2.0, 1.0, 0.5, "rel_width"),
+            (0.5, 1.5, 0.5, "rel_width"),
+            (0.5, 0.0, 0.5, "rel_width"),
+            (2.0, 0.5, 0.0, "x_window"),
+            (2.0, 0.5, math.nan, "x_window"),
+        ],
+    )
+    def test_rejects_bin_before_masking(self, monkeypatch, y_center, rel_width, x_window, field):
+        # The bin RunConfig would reject; without the check, rel_width = 1.5
+        # builds the bin [-0.25, 1.25].  The records are never read.
+        import eigipr.experiments as experiments_mod
+
+        monkeypatch.setattr(experiments_mod, "as_records", lambda *a: pytest.fail("records read"))
+        with pytest.raises(ValueError, match=field):
+            conditional_ipr(None, 2, y_center, rel_width, x_window, 60)
+
     def test_empty_bin_raises(self):
         records = spectrum_ipr_map(elliptic_config(40, 0.0, 2, seed=3))
         with pytest.raises(InsufficientDataError):
@@ -507,15 +528,31 @@ class TestConvergenceStudy:
             convergence_study(2, 0.5, 0.0, [64, 128], 10, rng, st=(0.8, 0.6 + 5e-10))
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("st", [None, (0.8, 0.6)])
-    def test_rows_match_per_vector_loop(self, st):
+    @pytest.mark.parametrize(
+        "y, st, seed, redo_rows",
+        [
+            pytest.param(0.7, None, 40, 0, id="None"),
+            pytest.param(0.7, (0.8, 0.6), 40, 0, id="st1"),
+            # Gaussian proposal; at seed 54 the 38-row tail block at N=100
+            # accepts no candidate in some row and is redrawn row by row.
+            pytest.param(0.2, None, 54, 38, id="y0.2-redo"),
+        ],
+    )
+    def test_rows_match_per_vector_loop(self, monkeypatch, y, st, seed, redo_rows):
         # 201 trials per N: one block at N=2 and N=17, full blocks and a
         # shorter tail at N=100, 2-row blocks and a 1-row tail at half the
-        # block size, one row per block past it.
+        # block size, one row per block past it.  Only a redo calls the
+        # scalar sampler, once per row of its block.
+        import eigipr.theory as theory_mod
+
+        calls = []
+        scalar = theory_mod.sample_S
+        monkeypatch.setattr(theory_mod, "sample_S", lambda *a: calls.append(1) or scalar(*a))
         n_list = [2, 17, 100, _BLOCK_ENTRIES // 2, _BLOCK_ENTRIES + 1]
-        rng, ref_rng = np.random.default_rng(40), np.random.default_rng(40)
-        rows = convergence_study(3, 0.7, 0.3, n_list, 201, rng, st=st)
-        want = ref.convergence_study(3, 0.7, 0.3, n_list, 201, ref_rng, st=st)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = convergence_study(3, y, 0.3, n_list, 201, rng, st=st)
+        assert len(calls) == redo_rows
+        want = ref.convergence_study(3, y, 0.3, n_list, 201, ref_rng, st=st)
         assert json.dumps(rows) == json.dumps(want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -10,6 +10,7 @@ from eigipr import (
     mean_ipr_depletion_finite_N,
     sample_haar_orthogonal,
     sample_stiefel_pair,
+    schur,
     st_from_S,
     synthetic_eigvec_sample,
 )
@@ -148,10 +149,15 @@ class TestEigvecFromBlock:
 
     def test_rejects_non_orthonormal_pair(self):
         v = np.ones(10) / math.sqrt(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="orthonormal"):
             eigvec_from_block(0.6, 0.8, v, v)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="amplitudes"):
             eigvec_from_block(0.9, 0.9, v, np.eye(10)[0])
+        # Gram-Schmidt pairs pass; off unit norm by more than 1e-8 they do not.
+        o1, o2 = sample_stiefel_pair(10, np.random.default_rng(27))
+        eigvec_from_block(0.6, 0.8, o1, o2)
+        with pytest.raises(ValueError, match="orthonormal"):
+            eigvec_from_block(0.6, 0.8, o1 * (1.0 + 1e-7), o2)
 
     def test_lower_eigenvalue_eigenvector_of_rotated_block(self):
         # For R [[x, b], [-c, x]] R^T, i s R[:, 0] + t R[:, 1] with S = (b + c)/(2 sqrt(bc))
@@ -198,19 +204,25 @@ class TestEigvecFromBlock:
     def test_bits_of_complex_expression(self, rows, per_row):
         # The result is written part by part in place; it keeps the bits of
         # the complex expression ``1j*s*o1 + t*o2``.  Gaussian entries are
-        # never exactly zero, so no zero part can change its sign here.
+        # never exactly zero, so no zero part can change its sign here.  The
+        # unchecked assembly that the samplers call on their Gram-Schmidt
+        # pairs, with the amplitudes shaped as they pass them, gives the same
+        # bytes.
         rng = np.random.default_rng(26)
         o1, o2 = sample_stiefel_pair(33, rng, size=rows)
         if per_row:
             s, t = st_from_S(1.0 + rng.standard_exponential(rows))
             want = 1j * s[:, None] * o1 + t[:, None] * o2
+            unchecked = schur._assemble(s[:, None], t[:, None], o1, o2)
         else:
             s, t = st_from_S(1.7)
             want = 1j * s * o1 + t * o2
+            unchecked = schur._assemble(s, t, o1, o2)
         got = eigvec_from_block(s, t, o1, o2)
-        assert got.dtype == np.complex128 and got.flags.c_contiguous
-        assert got.shape == want.shape == o1.shape
-        assert got.tobytes() == want.tobytes()
+        for vec in (got, unchecked):
+            assert vec.dtype == np.complex128 and vec.flags.c_contiguous
+            assert vec.shape == want.shape == o1.shape
+            assert vec.tobytes() == want.tobytes()
 
 
 class TestSyntheticEigvec:
