@@ -102,13 +102,13 @@ def eigvec_from_block(s, t, o1, o2):
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.abs(s * s + t * t - 1.0).max(initial=0.0) > 1e-8:
+    if not np.abs(s * s + t * t - 1.0).max(initial=0.0) <= 1e-8:
         raise ValueError("mixing amplitudes must satisfy s**2 + t**2 = 1")
     o1 = np.asarray(o1, dtype=float)
     o2 = np.asarray(o2, dtype=float)
     b1, b2 = np.atleast_2d(o1, o2)
     norms = np.sqrt([_rowdot(b1, b1), _rowdot(b2, b2)])
-    if np.abs(norms - 1.0).max(initial=0.0) > 1e-8 or np.abs(_rowdot(b1, b2)).max(initial=0.0) > 1e-8:
+    if not (np.abs(norms - 1.0).max(initial=0.0) <= 1e-8 and np.abs(_rowdot(b1, b2)).max(initial=0.0) <= 1e-8):
         raise ValueError("(o1, o2) is not an orthonormal pair")
     if o1.ndim == 2:
         s, t = s[..., None], t[..., None]
@@ -133,12 +133,13 @@ def _assemble(s, t, o1, o2):
 def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """Sample an eigenvector with the law conditioned on ``lam = x + i y / sqrt(N)``.
 
-    Draws the scale parameter ``S``, converts it to mixing amplitudes, draws a
-    uniform orthonormal pair, and assembles ``i*s*O1 + t*O2``.  With ``size``
-    given, draws ``size`` independent vectors as one ``(size, n)`` block.
-    The generator is consumed as by ``size`` sequential calls (``S``, then
-    the pair's Gaussians, for each row in turn), and row ``k`` has the bits
-    of the ``k``-th such call.
+    Draws the scale parameter ``S`` by inverse transform from one uniform,
+    converts it to mixing amplitudes, draws a uniform orthonormal pair, and
+    assembles ``i*s*O1 + t*O2``.  With ``size`` given, draws ``size``
+    independent vectors as one ``(size, n)`` block.  The generator is
+    consumed as by ``size`` sequential calls (the uniform for ``S``, then the
+    pair's Gaussians, for each row in turn), and row ``k`` has the bits of
+    the ``k``-th such call.
 
     Returns
     -------

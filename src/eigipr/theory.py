@@ -25,10 +25,11 @@ Normalizing constants are evaluated with the scaled complementary error
 function ``erfcx`` so that large ``y`` neither overflows nor cancels.
 
 ``scipy.special`` is imported inside the functions that need it
-(`density_delta`, `density_S`, `cdf_S` and `mean_ipr_depletion_finite_N`,
-and through them `density_ell` and `cdf_ell`), on their first call.  The
-samplers, `mean_ipr_finite_N` and `orthogonal_joint_moment` need no scipy,
-so a run that only samples matrices never loads it.
+(`density_delta`, `density_S`, `cdf_S`, `mean_ipr_depletion_finite_N` and
+the samplers `sample_S` and `sample_ell`, and through them `density_ell`,
+`cdf_ell` and `schur.synthetic_eigvec_sample`), on their first call.
+`mean_ipr_finite_N` and `orthogonal_joint_moment` need no scipy, so a run
+that only samples matrices never loads it.
 """
 
 from __future__ import annotations
@@ -120,61 +121,28 @@ def cdf_S(u, y, tau):
     return np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)[()]
 
 
-def _proposal(y, tau):
-    """``(sigma, a)`` for `sample_S`: the scale of ``S`` and the standardized truncation point."""
-    _check_y_tau(y, tau)
-    sigma = _sigma(y, tau)
-    return sigma, 1.0 / sigma
+def _S_from_log_survival(log_p, sigma):
+    """Inverse survival function of ``S``: the ``u`` with ``log P(S > u) = log_p``.
 
-
-def _round_shape(a, wanted):
-    """Shape ``(values per candidate, candidates)`` of a round that still needs ``wanted`` samples.
-
-    A Gaussian candidate is one value; an exponential one is an exponential
-    and a uniform.  One sample wanted takes 20 or 18 candidates.
+    ``u = -sigma ndtri(p ndtr(-1/sigma))``, evaluated in logs (``ndtri_exp``,
+    ``log_ndtr``) so it keeps full precision however close to ``S = 1`` the
+    law crowds, and clamped at 1 against rounding.  ``log_p`` is an array.
     """
-    if a <= 0.5:
-        # P(Z > a) >= P(Z > 0.5) ~ 0.309
-        return 1, 4 * wanted + 16
-    return 2, 2 * wanted + 16
+    from scipy.special import log_ndtr, ndtri_exp
 
-
-def _draw_round(rng, a, raw):
-    """Fill ``raw``, of shape `_round_shape`, with one round's raw candidates.
-
-    Gaussian proposal: ``standard_normal``.  Exponential proposal:
-    ``standard_exponential``, then ``random``.
-    """
-    if a <= 0.5:
-        rng.standard_normal(out=raw[0])
-    else:
-        rng.standard_exponential(out=raw[0])
-        rng.random(out=raw[1])
-
-
-def _accept(a, raw):
-    """Standardized candidates and their acceptance mask, for raw rounds of shape ``(..., w, m)``.
-
-    Naive Gaussian rejection when ``a <= 0.5``; otherwise the one-sided
-    exponential proposal of rate ``alpha`` shifted to ``a``, accepted with
-    probability ``exp(-(z - alpha)**2 / 2)``.
-    """
-    if a <= 0.5:
-        z = raw[..., 0, :]
-        return z, z > a
-    alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-    z = a + raw[..., 0, :] * (1.0 / alpha)
-    return z, raw[..., 1, :] <= np.exp(-0.5 * np.square(z - alpha))
+    return np.maximum(-sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma)), 1.0)
 
 
 def sample_S(y, tau, rng, size=None):
-    """Exact sampler of the scale parameter ``S``.
+    """Exact sampler of the scale parameter ``S``, by inverse transform.
 
-    With ``a = 2 y / sqrt(1 - tau**2)`` the truncation point of the
-    standardized normal, samples use naive Gaussian rejection when
-    ``a <= 0.5`` and a one-sided shifted-exponential proposal otherwise,
-    whose acceptance rate is uniformly bounded below.  Each round draws a
-    batch of candidates and keeps the accepted ones in order.
+    Each sample takes one ``rng.random()`` value ``u`` and returns the
+    inverse survival function of ``S`` at ``p = 1 - u``, evaluated in logs
+    from ``log1p(-u)``.  So ``cdf_S(S) = u`` up to rounding: within
+    ``1e-13 (1 + z**2)`` for ``z = y sqrt(2 / (1 - tau**2))`` up to 100, and
+    within ``1e-5`` beyond, where ``ndtri_exp``'s deep tail sets the error.
+    A ``size=n`` call draws as ``n`` calls without ``size`` and returns
+    their bits.
 
     Parameters
     ----------
@@ -184,51 +152,24 @@ def sample_S(y, tau, rng, size=None):
     size : int, optional
         Number of samples; a bare float is returned when omitted.
     """
-    sigma, a = _proposal(y, tau)
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    out = np.empty(n)
-    k = 0
-    while k < n:
-        raw = np.empty(_round_shape(a, n - k))
-        _draw_round(rng, a, raw)
-        z, keep = _accept(a, raw)
-        z = z[keep][: n - k]
-        out[k : k + z.size] = z
-        k += z.size
-    out *= sigma
-    return float(out[0]) if scalar else out
+    _check_y_tau(y, tau)
+    S = _S_from_log_survival(np.log1p(-rng.random(1 if size is None else size)), _sigma(y, tau))
+    return float(S[0]) if size is None else S
 
 
 def _sample_S_rows(y, tau, rng, g):
     """One ``S`` per row of ``g``, a ``(rows, 2, n)`` buffer that receives the rows' Gaussians.
 
-    The generator is consumed as by ``rows`` rounds of a scalar `sample_S`
-    call followed by ``standard_normal(out=g[k])``, and row ``k`` gets that
-    round's bits.  A one-sample `sample_S` call draws one round and keeps its
-    first accepted candidate, so the block is drawn and accepted at once.  A
-    row with no accepted candidate would have drawn a second round before its
-    Gaussians: the generator state is then restored and the block redrawn one
-    row at a time.
+    Each row draws its uniform and then ``standard_normal(out=g[k])``, so
+    the generator is consumed as by ``rows`` scalar `sample_S` calls each
+    followed by that row's Gaussians, and row ``k`` gets that call's bits.
     """
-    sigma, a = _proposal(y, tau)
-    rows = len(g)
-    raw = np.empty((rows, *_round_shape(a, 1)))
-    state = rng.bit_generator.state
-    for k in range(rows):
-        _draw_round(rng, a, raw[k])
+    _check_y_tau(y, tau)
+    u = np.empty(len(g))
+    for k in range(len(g)):
+        u[k] = rng.random()
         rng.standard_normal(out=g[k])
-    z, keep = _accept(a, raw)
-    first = keep.argmax(axis=-1)
-    at = np.arange(rows)
-    if keep[at, first].all():
-        return z[at, first] * sigma
-    rng.bit_generator.state = state
-    S = np.empty(rows)
-    for k in range(rows):
-        S[k] = sample_S(y, tau, rng)
-        rng.standard_normal(out=g[k])
-    return S
+    return _S_from_log_survival(np.log1p(-u), _sigma(y, tau))
 
 
 def sample_ell(q, y, tau, rng, size=None):
@@ -309,7 +250,7 @@ def mean_ipr_finite_N(N, q, s, t):
     q = int(q)
     if q < 1:
         raise ValueError(f"order must be >= 1, got {q}")
-    if abs(s * s + t * t - 1.0) > 1e-10:
+    if not abs(s * s + t * t - 1.0) <= 1e-10:
         raise ValueError("mixing amplitudes must satisfy s**2 + t**2 = 1")
     total = sum(
         math.comb(q, k)
@@ -349,23 +290,18 @@ def mean_ipr_depletion_finite_N(N, q, y, tau):
     ``N**q / (N (N+2) ... (N+2q-2)) * E[g(q, S)]``.
 
     ``E[g(q, S)]`` is the integral of ``g(q, u(p))`` over the survival
-    probability ``p = P(S > u)`` on ``(0, 1)``, where the inverse survival
-    function ``u(p) = -sigma ndtri(p ndtr(-1/sigma))`` is evaluated in logs
-    (``ndtri_exp``, ``log_ndtr``) so it keeps full precision however close
-    to ``S = 1`` the law crowds.  A fixed 141-node tanh-sinh rule does the
-    integral in one array call; it handles the logarithmic endpoint at
-    ``p = 0`` and the narrow peak at ``S = 1`` for large
-    ``2 y / sqrt(1 - tau**2)`` alike.
+    probability ``p = P(S > u)`` on ``(0, 1)``, with ``u(p)`` the inverse
+    survival function that `sample_S` also uses, evaluated in logs so it
+    keeps full precision however close to ``S = 1`` the law crowds.  A fixed
+    141-node tanh-sinh rule does the integral in one array call; it handles
+    the logarithmic endpoint at ``p = 0`` and the narrow peak at ``S = 1``
+    for large ``2 y / sqrt(1 - tau**2)`` alike.
     Against 30-digit references for ``q = 2..8``, ``y`` from 0.02 to 300 and
     ``tau`` up to 0.99 the relative error is below ``1e-10``.  Up to rounding
     the value lies between ``q!`` and ``(2q-1)!!`` times the prefactor.
     ``N >= 2``, or ``math.inf`` for the limit.
     """
-    from scipy.special import log_ndtr, ndtri_exp
-
     _check_y_tau(y, tau)
     q = _check_order(q)
-    sigma = _sigma(y, tau)
     log_p, weight = _tanh_sinh_rule()
-    u = -sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma))
-    return _finite_n_prefactor(N, q) * float(weight @ g(q, np.maximum(u, 1.0)))
+    return _finite_n_prefactor(N, q) * float(weight @ g(q, _S_from_log_survival(log_p, _sigma(y, tau))))

@@ -2,48 +2,31 @@
 
 Copies of `theory.sample_S`, `schur.st_from_S`, `sample_stiefel_pair`,
 `eigvec_from_block`, `synthetic_eigvec_sample` and the
-`experiments.convergence_study` loop as they were before those functions drew
-vectors in ``(rows, N)`` blocks and accepted a block's scale parameters at
-once: a full rejection loop per `sample_S` call, scalar ``math`` for the
-amplitudes, one ``(2, n)`` Gaussian draw, ``np.linalg.norm`` and ``np.dot``
-per vector, one `ipr` call per vector.  The block path must reproduce them bit
-for bit and leave the generator in the same state.  The orthonormality checks
-are left out: they raise or pass, and change no bits.  Only the exact finite-N
-means come from the live `theory` module.
+`experiments.convergence_study` loop written one draw and one vector at a
+time: one ``rng.random()`` and one inverse transform per `sample_S` draw,
+scalar ``math`` for the amplitudes, one ``(2, n)`` Gaussian draw,
+``np.linalg.norm`` and ``np.dot`` per vector, one `ipr` call per vector.  The
+block path must reproduce them bit for bit and leave the generator in the
+same state.  The orthonormality checks are left out: they raise or pass, and
+change no bits.  Only the exact finite-N means come from the live `theory`
+module.
 """
 
 import math
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 
 from eigipr import ipr, theory
 
 
 def sample_S(y, tau, rng, size=None):
-    scalar = size is None
-    n = 1 if scalar else int(size)
     sigma = math.sqrt(1.0 - tau * tau) / (2.0 * y)
-    a = 1.0 / sigma
-    out = np.empty(n)
-    k = 0
-    if a <= 0.5:
-        while k < n:
-            m = 4 * (n - k) + 16
-            z = rng.standard_normal(m)
-            z = z[z > a][: n - k]
-            out[k : k + z.size] = z
-            k += z.size
-    else:
-        alpha = 0.5 * (a + math.sqrt(a * a + 4.0))
-        while k < n:
-            m = 2 * (n - k) + 16
-            z = a + rng.exponential(1.0 / alpha, m)
-            keep = rng.random(m) <= np.exp(-0.5 * np.square(z - alpha))
-            z = z[keep][: n - k]
-            out[k : k + z.size] = z
-            k += z.size
-    out *= sigma
-    return float(out[0]) if scalar else out
+    out = np.empty(1 if size is None else int(size))
+    for k in range(out.size):
+        log_p = np.log1p(-rng.random())
+        out[k] = max(-sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma)), 1.0)
+    return float(out[0]) if size is None else out
 
 
 def st_from_S(S):

@@ -153,6 +153,11 @@ class TestEigvecFromBlock:
             eigvec_from_block(0.6, 0.8, v, v)
         with pytest.raises(ValueError, match="amplitudes"):
             eigvec_from_block(0.9, 0.9, v, np.eye(10)[0])
+        # NaN fails every comparison, so it must fail the checks too.
+        with pytest.raises(ValueError, match="amplitudes"):
+            eigvec_from_block(math.nan, 0.5, v, np.eye(10)[0])
+        with pytest.raises(ValueError, match="orthonormal"):
+            eigvec_from_block(0.6, 0.8, np.full(10, math.nan), np.eye(10)[0])
         # Gram-Schmidt pairs pass; off unit norm by more than 1e-8 they do not.
         o1, o2 = sample_stiefel_pair(10, np.random.default_rng(27))
         eigvec_from_block(0.6, 0.8, o1, o2)
@@ -283,7 +288,7 @@ class TestBlockMatchesPerVector:
 
     @pytest.mark.parametrize("n", BLOCK_NS)
     @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("y", [0.2, 1.0])  # both branches of sample_S
+    @pytest.mark.parametrize("y", [0.2, 1.0])  # a wide law of S and a narrower one
     def test_synthetic_eigvec_sample(self, n, size, y):
         rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
         vecs, S = synthetic_eigvec_sample(n, y, 0.3, rng, size=size)
@@ -309,25 +314,18 @@ class TestBlockMatchesPerVector:
         assert vecs.tobytes() == np.array(ref_vecs).tobytes()
         assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v in ref_vecs]).tobytes()
 
-    def test_rollback_to_per_row_draws(self, monkeypatch):
-        # At a = 2y / sqrt(1 - tau**2) = 0.5 the Gaussian proposal rejects all
-        # 20 candidates of a round with probability 0.69**20 ~ 6e-4, so about
-        # 2.5 of these 80 blocks of 50 rows must be redone one row at a time.
-        # Only a redo calls the scalar sampler, once per row of its block.
-        import eigipr.theory as theory_mod
-
-        calls = []
-        scalar = theory_mod.sample_S
-        monkeypatch.setattr(theory_mod, "sample_S", lambda *a: calls.append(1) or scalar(*a))
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        blocks = [synthetic_eigvec_sample(3, 0.25, 0.0, rng, size=50) for _ in range(80)]
-        want = [ref.synthetic_eigvec_sample(3, 0.25, 0.0, ref_rng) for _ in range(4000)]
-        assert 0 < len(calls) < 4000 and len(calls) % 50 == 0
-        vecs = np.concatenate([v for v, _ in blocks])
+    @pytest.mark.parametrize("size", [1, 17, 163, 5000])
+    @pytest.mark.parametrize("tau", [0.0, 0.99])
+    @pytest.mark.parametrize("y", [0.02, 0.2, 1.0, 300.0])
+    def test_block_equals_one_vector_calls(self, y, tau, size):
+        # The block's uniforms go through log1p as one array of `size`
+        # values, each one-vector call's as an array of one.
+        rng, one_rng = np.random.default_rng(size), np.random.default_rng(size)
+        vecs, S = synthetic_eigvec_sample(4, y, tau, rng, size=size)
+        want = [synthetic_eigvec_sample(4, y, tau, one_rng) for _ in range(size)]
         assert vecs.tobytes() == np.array([v for v, _ in want]).tobytes()
-        assert np.concatenate([S for _, S in blocks]).tobytes() == np.array([x for _, x in want]).tobytes()
-        assert ipr(vecs, 2).tobytes() == np.array([ipr(v, 2) for v, _ in want]).tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert S.tobytes() == np.array([x for _, x in want]).tobytes()
+        assert rng.bit_generator.state == one_rng.bit_generator.state
 
     @pytest.mark.parametrize("y", [0.2, 1.0])
     def test_zero_rows(self, y):

@@ -132,9 +132,31 @@ class TestSampleS:
         val = sample_S(1.0, 0.0, rng)
         assert isinstance(val, float) and val > 1.0
 
-    # (y, tau) with a = 2 y / sqrt(1 - tau**2) = 0.42 and 0.5 take the Gaussian
-    # proposal, 2 and 11.5 the exponential one.
+    # (y, tau) with a = 2 y / sqrt(1 - tau**2) = 0.42, 0.5, 2 and 11.5: from a
+    # wide law of S to one crowded near its truncation point at 1.
     BRANCHES = [(0.2, 0.3), (0.25, 0.0), (1.0, 0.0), (5.0, 0.5)]
+
+    @pytest.mark.parametrize("y", [0.02, 0.3, 1.0, 5.0, 50.0, 300.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 0.99])
+    def test_inverse_transform_round_trip(self, y, tau):
+        # Each sample is the inverse of cdf_S at its uniform.  Past z = 100
+        # ndtri_exp's deep tail sets the error (2.2e-6 at y = 300, tau = 0.99).
+        rng, u_rng = np.random.default_rng(12), np.random.default_rng(12)
+        xs = sample_S(y, tau, rng, size=100_000)
+        u = u_rng.random(100_000)
+        z = y * math.sqrt(2.0 / (1.0 - tau * tau))
+        bound = 1e-13 * (1.0 + z * z) if z <= 100.0 else 1e-5
+        assert np.abs(cdf_S(xs, y, tau) - u).max() <= bound
+        assert rng.bit_generator.state == u_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [1, 17, 163, 5000])
+    @pytest.mark.parametrize("y,tau", BRANCHES)
+    def test_block_equals_scalar_calls(self, y, tau, size):
+        rng, one_rng = np.random.default_rng(13), np.random.default_rng(13)
+        got = sample_S(y, tau, rng, size=size)
+        want = [sample_S(y, tau, one_rng) for _ in range(size)]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == one_rng.bit_generator.state
 
     @pytest.mark.parametrize("size", [None, 1, 5000])
     @pytest.mark.parametrize("y,tau", BRANCHES)
@@ -329,6 +351,8 @@ class TestMoments:
     def test_mean_ipr_finite_N_rejects_bad_amplitudes(self):
         with pytest.raises(ValueError):
             mean_ipr_finite_N(100, 2, 0.9, 0.9)
+        with pytest.raises(ValueError, match="amplitudes"):
+            mean_ipr_finite_N(64, 2, math.nan, 0.5)
 
     @pytest.mark.parametrize("N", [1, 0, -3, 1.5, math.nan, -math.inf])
     def test_finite_N_means_reject_dimension_below_two(self, N):
@@ -454,9 +478,11 @@ class TestImportCost:
 
     def test_scipy_waits_for_first_law_evaluation(self, tmp_path):
         # scipy.special costs more than numpy itself to import; the matrix
-        # pipeline never needs it, so only evaluating a law may load it.
+        # pipeline never needs it, so only evaluating or sampling a law may
+        # load it.
         probe = (
             "import sys\n"
+            "import numpy as np\n"
             "import eigipr, eigipr.cli\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
@@ -465,16 +491,28 @@ class TestImportCost:
             f"        '--seed', '1', '--q', '2,3', '--out', {str(tmp_path / 'r.csv')!r}]\n"
             "assert eigipr.cli.main(argv) == 0\n"
             "print(loaded())\n"
+            "argv = ['figure', '--ensemble', 'elliptic', '--N', '8', '--trials', '2',\n"
+            f"        '--seed', '1', '--out', {str(tmp_path / 'f.svg')!r}]\n"
+            "assert eigipr.cli.main(argv) == 0\n"
+            "print(loaded())\n"
+            "eigipr.sample_S(1.0, 0.0, np.random.default_rng(1))\n"
+            "print('scipy.special' in sys.modules)\n"
             "eigipr.cdf_ell(3, 10.0, 1.0, 0.0)\n"
             "print('scipy.special' in sys.modules)\n"
         )
-        assert _fresh_python(probe).splitlines() == ["[]", "[]", "True"]
+        assert _fresh_python(probe).splitlines() == ["[]", "[]", "[]", "True", "True"]
         assert (tmp_path / "r.csv").stat().st_size > 0
+        assert (tmp_path / "f.svg").stat().st_size > 0
 
     def test_values_do_not_depend_on_when_scipy_loads(self):
         laws = (
             "import numpy as np\n"
             "from eigipr import cdf_S, density_S, density_delta, mean_ipr_depletion_finite_N\n"
+            "from eigipr import sample_S, sample_ell, synthetic_eigvec_sample\n"
+            "rng = np.random.default_rng(3)\n"
+            "print(repr([sample_S(0.4, 0.3, rng), sample_S(0.4, 0.3, rng, size=3).tolist(),\n"
+            "            sample_ell(3, 2.0, 0.3, rng, size=3).tolist(),\n"
+            "            synthetic_eigvec_sample(5, 1.0, 0.3, rng, size=2)[0].tolist()]))\n"
             "u = np.array([0.5, 1.0, 1.2, 2.0, 7.5])\n"
             "print(repr([mean_ipr_depletion_finite_N(N, q, y, 0.3)\n"
             "            for N in (50, math.inf) for q in (2, 5) for y in (0.05, 1.0, 40.0)]))\n"
@@ -485,4 +523,4 @@ class TestImportCost:
         eager = _fresh_python("import math, scipy.special, eigipr\n" + laws)
         lazy = _fresh_python("import math, sys, eigipr\nassert 'scipy' not in sys.modules\n" + laws)
         assert eager == lazy
-        assert len(eager.splitlines()) == 4
+        assert len(eager.splitlines()) == 5
