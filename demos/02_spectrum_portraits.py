@@ -25,7 +25,7 @@ for kind, fname in (("ginibre_real", "spectrum_real.svg"), ("ginibre_complex", "
     )
     records = spectrum_ipr_map(config)
     write_svg_scatter(records, 2, OUT / fname)
-    frac_real = sum(r.is_real_eig for r in records) / len(records)
+    frac_real = records.is_real.mean()
     print(f"{kind:16s} -> {OUT / fname}  ({len(records)} eigenvalues, {frac_real:.1%} real)")
 
 print("violet = delocalized (IPR_2 near 2), yellow = localized (IPR_2 near 3+)")

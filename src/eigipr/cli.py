@@ -154,11 +154,6 @@ def _resolve(command, args):
     return params
 
 
-def _echo(command, params):
-    line = json.dumps({"command": command, "params": params}, sort_keys=True, default=list)
-    print(line, file=sys.stderr)
-
-
 # Parameters that set an EnsembleSpec field, and those that set a RunConfig bin
 # field (name -> field); a command without one leaves the field's default.
 _SPEC_KEYS = ("tau", "nu", "d", "perm_mode", "theta")
@@ -344,7 +339,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    _echo(args.command, params)
+    echo = {"command": args.command, "params": params}
+    print(json.dumps(echo, sort_keys=True, default=list), file=sys.stderr)
     try:
         return _COMMANDS[args.command][1](params)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -68,11 +68,11 @@ class Records:
     """Eigenvalue records as numpy columns, one entry per eigenvalue.
 
     ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
-    float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, ascending,
-    to a float64 column.  Entry ``k`` of every column describes the same
-    eigenvalue; iterating yields these entries as `EigRecord` rows of Python
-    scalars.  ``==`` against another table compares every column bit for
-    bit, and against a list or tuple of rows compares the rows.
+    float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
+    ascending, to a float64 column.  Entry ``k`` of every column describes
+    the same eigenvalue; iterating yields these entries as `EigRecord` rows
+    of Python scalars.  ``==`` compares two tables column by column, bit for
+    bit.
     """
 
     trial: np.ndarray
@@ -87,6 +87,8 @@ class Records:
         sizes = {len(col) for col in self._columns()}
         if len(sizes) > 1:
             raise ValueError(f"record columns differ in length: {sorted(sizes)}")
+        if list(self.ipr) != sorted(self.ipr):
+            raise ValueError(f"IPR orders must be strictly ascending, got {list(self.ipr)}")
 
     def _columns(self, orders=None):
         """The columns in `EigRecord` field order, with the IPRs at ``orders`` (default: all held)."""
@@ -169,19 +171,25 @@ class Records:
             yield EigRecord(trial, idx, re, im, is_real, dict(zip(orders, iprs)), residual)
 
     def __eq__(self, other):
-        if isinstance(other, Records):
-            return self.orders == other.orders and all(
-                a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
-                for a, b in zip(self._columns(), other._columns())
-            )
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, Records):
+            return NotImplemented
+        return self.orders == other.orders and all(
+            a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+            for a, b in zip(self._columns(), other._columns())
+        )
 
 
 def as_records(records, orders=None):
     """``records`` itself when it is a `Records` table, else `Records.from_rows` of its rows."""
     return records if isinstance(records, Records) else Records.from_rows(records, orders)
+
+
+def _ascending_orders(orders):
+    """IPR orders as an ascending tuple of ints; `ValueError` when an order repeats."""
+    orders = tuple(sorted(int(q) for q in orders))
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"repeated IPR order in {orders}")
+    return orders
 
 
 def ipr(x, q):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles, schur, theory
-from .core import Records, as_records, ipr
+from .core import Records, _ascending_orders, as_records, ipr
 
 __all__ = [
     "EmpiricalDist",
@@ -142,7 +142,7 @@ class RunConfig:
         _check_bin(self.y_center, self.rel_width, self.x_window)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "q_set", tuple(sorted(self.q_set)))
+        object.__setattr__(self, "q_set", _ascending_orders(self.q_set))
 
 
 def trial_rng(seed, trial):
@@ -214,26 +214,21 @@ def _residual_norms(mat, w, v):
 
 
 def realness_threshold(w, fro):
-    """Snap near-real eigenvalues and keep one member of each conjugate pair.
-
-    Eigenvalues with ``|Im lam| <= 1e-10 * fro`` become exactly real; the
-    remaining ones are matched into conjugate pairs, of which only the
-    ``Im lam > 0`` representative is retained.  Raises `PairingError` when a
-    complex eigenvalue is left unpaired.
-
-    Returns
-    -------
-    list of (lam, index, is_real)
-        Retained eigenvalues (in the original order), the column index of
-        their eigenvector, and the realness flag; the list length is
-        ``r + m`` where ``N = r + 2m``.
-    """
+    """`_snap_and_pair` as a list of ``(lam, index, is_real)`` tuples, one per kept eigenvalue."""
     lam, keep, real = _snap_and_pair(w, fro)
     return list(zip(lam.tolist(), keep.tolist(), real.tolist()))
 
 
 def _snap_and_pair(w, fro):
-    """`realness_threshold` as arrays: the kept eigenvalues, their indices and their realness flags."""
+    """Snap near-real eigenvalues and keep one member of each conjugate pair.
+
+    Eigenvalues with ``|Im lam| <= 1e-10 * fro`` become exactly real; the
+    others are matched into conjugate pairs, of which the ``Im lam > 0``
+    member is kept.  Returns the kept eigenvalues (in their original order),
+    their eigenvector column indices and their realness flags, ``r + m``
+    entries where ``N = r + 2m``.  Raises `PairingError` when a complex
+    eigenvalue is left unpaired.
+    """
     w = np.asarray(w)
     thr = REALNESS_RTOL * fro
     re, im = w.real, w.imag

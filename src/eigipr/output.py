@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import Records, as_records, double_factorial_odd, factorial
+from .core import Records, _ascending_orders, as_records, double_factorial_odd, factorial
 
 __all__ = [
     "read_records_csv",
@@ -38,11 +38,8 @@ def _sink(path):
         raise
 
 
-def _record_header(q_set):
-    head = ["trial", "idx", "re_lambda", "im_lambda", "is_real"]
-    head += [f"ipr_q{q}" for q in q_set]
-    head.append("residual")
-    return head
+# The columns of a records CSV before its ``ipr_q<q>`` columns; ``residual`` comes last.
+_HEAD = ["trial", "idx", "re_lambda", "im_lambda", "is_real"]
 
 
 def write_records_csv(records, path, q_set=None):
@@ -51,11 +48,12 @@ def write_records_csv(records, path, q_set=None):
     Header: ``trial,idx,re_lambda,im_lambda,is_real,ipr_q<q>...,residual``
     with one ``ipr_q<q>`` column per requested order.  ``q_set`` defaults to
     the orders the table holds (for rows, those of the first row).  A
-    requested order the records lack raises `KeyError` before ``path`` is
-    opened, so an existing file there is left as it was.
+    repeated order raises `ValueError`, and one the records lack `KeyError`,
+    before ``path`` is opened, so an existing file there is left as it was.
     """
+    q_set = q_set if q_set is None else _ascending_orders(q_set)
     table = as_records(records, q_set)
-    q_set = table.orders if q_set is None else tuple(sorted(int(q) for q in q_set))
+    q_set = table.orders if q_set is None else q_set
     missing = sorted(set(q_set).difference(table.orders))
     if missing:
         raise KeyError(missing[0])
@@ -63,16 +61,24 @@ def write_records_csv(records, path, q_set=None):
     # ``{:d}`` writes the realness flag as 1 or 0.
     line = ",".join(["{}", "{}", "{:.17g}", "{:.17g}", "{:d}"] + ["{:.17g}"] * (len(q_set) + 1)) + "\r\n"
     with _sink(path) as fh:
-        fh.write(",".join(_record_header(q_set)) + "\r\n")
+        fh.write(",".join([*_HEAD, *(f"ipr_q{q}" for q in q_set), "residual"]) + "\r\n")
         fh.writelines(line.format(*row) for row in table._rows(q_set))
 
 
 def read_records_csv(path):
-    """Parse a records CSV back into a `Records` table."""
+    """Parse a records CSV back into a `Records` table.
+
+    The header is checked before any row is read: the five leading columns,
+    ``ipr_q<q>`` columns of distinct orders, then ``residual``.  Any other
+    header raises `ValueError` naming the file.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        orders = [name.removeprefix("ipr_q") for name in header[5:-1]]
+        header = next(reader, [])
+        names = header[5:-1]
+        orders = [int(name[5:]) for name in names if name.startswith("ipr_q") and name[5:].isdecimal()]
+        if header[:5] != _HEAD or header[-1:] != ["residual"] or len(set(orders)) < len(names):
+            raise ValueError(f"{path}: bad records CSV header (or a repeated IPR order): {','.join(header)}")
         # Each row parsed as it is read: no CSV text is kept.
         entries = []
         for row in reader:
@@ -124,16 +130,15 @@ def _color(t):
 def write_svg_scatter(records, q, path):
     """Self-contained SVG scatter of eigenvalues colored by their order-``q`` IPR.
 
-    ``records`` is a `Records` table or an iterable of `EigRecord` rows.  The
-    color scale is linear in the IPR, clipped to ``[q!, (2q-1)!!]``: the
-    delocalized floor maps to dark violet, the real-axis ceiling to yellow.
+    ``records`` is a `Records` table holding order ``q``.  The color scale
+    is linear in the IPR, clipped to ``[q!, (2q-1)!!]``: the delocalized
+    floor maps to dark violet, the real-axis ceiling to yellow.
     """
     q = int(q)
     lo, hi = factorial(q), double_factorial_odd(q)
-    table = as_records(records, (q,))
-    if not len(table):
+    if not len(records):
         raise ValueError("no records to plot")
-    xs, ys, vals = table.re.tolist(), table.im.tolist(), table.ipr[q].tolist()
+    xs, ys, vals = records.re.tolist(), records.im.tolist(), records.ipr[q].tolist()
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-30) * 1.05
     cx = 0.5 * (max(xs) + min(xs))
     cy = 0.5 * (max(ys) + min(ys))

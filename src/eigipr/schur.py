@@ -139,7 +139,8 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     independent vectors as one ``(size, n)`` block.  The generator is
     consumed as by ``size`` sequential calls (the uniform for ``S``, then the
     pair's Gaussians, for each row in turn), and row ``k`` has the bits of
-    the ``k``-th such call.
+    the ``k``-th such call.  ``n``, ``y`` and ``tau`` are checked before the
+    first draw.
 
     Returns
     -------
@@ -148,8 +149,13 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
         ``size``, the ``(size, n)`` block and the ``size`` values of ``S``.
     """
     n = _check_dim(n)
-    g = np.empty((1 if size is None else int(size), 2, n))
-    S = theory._sample_S_rows(y, tau, rng, g)
+    theory._check_y_tau(y, tau)
+    u = np.empty(1 if size is None else int(size))
+    g = np.empty((u.size, 2, n))
+    for k in range(u.size):
+        u[k] = rng.random()
+        rng.standard_normal(out=g[k])
+    S = theory._S_from_uniform(u, y, tau)
     s, t = st_from_S(S)
     vec = _assemble(s[:, None], t[:, None], *_gram_schmidt(g))
     return (vec[0], float(S[0])) if size is None else (vec, S)

@@ -24,11 +24,9 @@ available through `mean_ipr_finite_N` and `mean_ipr_depletion_finite_N`.
 Normalizing constants are evaluated with the scaled complementary error
 function ``erfcx`` so that large ``y`` neither overflows nor cancels.
 
-``scipy.special`` is imported inside the functions that need it
-(`density_delta`, `density_S`, `cdf_S`, `mean_ipr_depletion_finite_N` and
-the samplers `sample_S` and `sample_ell`, and through them `density_ell`,
-`cdf_ell` and `schur.synthetic_eigvec_sample`), on their first call.
-`mean_ipr_finite_N` and `orthogonal_joint_moment` need no scipy, so a run
+``scipy.special`` is imported on first call by the functions that need it:
+`density_delta`, the laws of ``S`` and ``ell``, the samplers (and with them
+`schur.synthetic_eigvec_sample`) and `mean_ipr_depletion_finite_N`.  A run
 that only samples matrices never loads it.
 """
 
@@ -61,11 +59,6 @@ def _check_y_tau(y, tau):
         raise ValueError(f"scaled imaginary part y must be > 0, got {y}")
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"asymmetry parameter tau must be in [0, 1), got {tau}")
-
-
-def _sigma(y, tau):
-    # Scale of the normal whose restriction to (1, oo) is the law of S.
-    return math.sqrt(1.0 - tau * tau) / (2.0 * y)
 
 
 def density_delta(delta, y, tau):
@@ -121,16 +114,27 @@ def cdf_S(u, y, tau):
     return np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)[()]
 
 
-def _S_from_log_survival(log_p, sigma):
+def _S_from_log_survival(log_p, y, tau):
     """Inverse survival function of ``S``: the ``u`` with ``log P(S > u) = log_p``.
 
-    ``u = -sigma ndtri(p ndtr(-1/sigma))``, evaluated in logs (``ndtri_exp``,
-    ``log_ndtr``) so it keeps full precision however close to ``S = 1`` the
-    law crowds, and clamped at 1 against rounding.  ``log_p`` is an array.
+    ``u = -sigma ndtri(p ndtr(-1/sigma))`` for the normal's scale ``sigma``,
+    in logs (``ndtri_exp``, ``log_ndtr``) so it keeps full precision however
+    close to ``S = 1`` the law crowds, and clamped at 1 against rounding.
     """
     from scipy.special import log_ndtr, ndtri_exp
 
+    # Scale of the normal whose restriction to (1, oo) is the law of S.
+    sigma = math.sqrt(1.0 - tau * tau) / (2.0 * y)
     return np.maximum(-sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma)), 1.0)
+
+
+def _S_from_uniform(u, y, tau):
+    """``S`` at an array of ``rng.random()`` values ``u``: the one map from uniforms to ``S``.
+
+    Shared by `sample_S` and `schur.synthetic_eigvec_sample`, which check
+    ``(y, tau)`` before they draw.
+    """
+    return _S_from_log_survival(np.log1p(-u), y, tau)
 
 
 def sample_S(y, tau, rng, size=None):
@@ -153,23 +157,8 @@ def sample_S(y, tau, rng, size=None):
         Number of samples; a bare float is returned when omitted.
     """
     _check_y_tau(y, tau)
-    S = _S_from_log_survival(np.log1p(-rng.random(1 if size is None else size)), _sigma(y, tau))
+    S = _S_from_uniform(rng.random(1 if size is None else size), y, tau)
     return float(S[0]) if size is None else S
-
-
-def _sample_S_rows(y, tau, rng, g):
-    """One ``S`` per row of ``g``, a ``(rows, 2, n)`` buffer that receives the rows' Gaussians.
-
-    Each row draws its uniform and then ``standard_normal(out=g[k])``, so
-    the generator is consumed as by ``rows`` scalar `sample_S` calls each
-    followed by that row's Gaussians, and row ``k`` gets that call's bits.
-    """
-    _check_y_tau(y, tau)
-    u = np.empty(len(g))
-    for k in range(len(g)):
-        u[k] = rng.random()
-        rng.standard_normal(out=g[k])
-    return _S_from_log_survival(np.log1p(-u), _sigma(y, tau))
 
 
 def sample_ell(q, y, tau, rng, size=None):
@@ -304,4 +293,4 @@ def mean_ipr_depletion_finite_N(N, q, y, tau):
     _check_y_tau(y, tau)
     q = _check_order(q)
     log_p, weight = _tanh_sinh_rule()
-    return _finite_n_prefactor(N, q) * float(weight @ g(q, _S_from_log_survival(log_p, _sigma(y, tau))))
+    return _finite_n_prefactor(N, q) * float(weight @ g(q, _S_from_log_survival(log_p, y, tau)))

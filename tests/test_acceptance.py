@@ -238,15 +238,12 @@ def test_criterion_07_companion_finite_size_law(depletion_records):
 def test_criterion_08_regime_limits(elliptic500_records, complex500_records):
     n = 500
     root_n = math.sqrt(n)
-    reals = [r.ipr[2] for r in elliptic500_records if r.is_real_eig]
-    far = [
-        r.ipr[2]
-        for r in elliptic500_records
-        if not r.is_real_eig and root_n * r.im_lambda > 20.0 and abs(r.re_lambda) < 0.5
-    ]
+    t = elliptic500_records
+    reals = t.ipr[2][t.is_real]
+    far = t.ipr[2][~t.is_real & (root_n * t.im > 20.0) & (np.abs(t.re) < 0.5)]
     mean_real = float(np.mean(reals))
     mean_far = float(np.mean(far))
-    mean_cplx = float(np.mean([r.ipr[2] for r in complex500_records]))
+    mean_cplx = float(np.mean(complex500_records.ipr[2]))
     bin_a = conditional_ipr(complex500_records, 2, 2.0, 0.5, 0.5, n)  # heights [1, 3]
     bin_b = conditional_ipr(complex500_records, 2, 9.0, 1.0 / 9.0, 0.5, n)  # heights [8, 10]
     m = min(bin_a.count, bin_b.count)

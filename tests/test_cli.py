@@ -150,6 +150,20 @@ class TestSampleSpectrum:
         header, _ = read_csv(out)
         assert "ipr_q2" in header
 
+    def test_repeated_order_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        out = tmp_path / "r.csv"
+        trials = []
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t))
+        code, _, err = run_cli(
+            ["sample-spectrum", "--ensemble", "elliptic", "--N", "20", "--trials", "2",
+             "--q", "3,2,2", "--seed", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and "repeated IPR order" in err
+        assert trials == [] and not out.exists()
+
     def test_normalization_is_figure_only(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["sample-spectrum", "--ensemble", "elliptic", "--N", "10",
@@ -346,7 +360,7 @@ class TestFigure:
         ids=["empirical", "bulk"],
     )
     def test_normalized_svg_matches_row_loop(self, spec, args, mode, tmp_path, capsys):
-        from eigipr import EnsembleSpec, RunConfig, normalize_spectrum, spectrum_ipr_map
+        from eigipr import EnsembleSpec, Records, RunConfig, normalize_spectrum, spectrum_ipr_map
         from eigipr.output import write_svg_scatter
 
         out = tmp_path / "n.svg"
@@ -365,7 +379,7 @@ class TestFigure:
             rec.re_lambda = lam.real
             rec.im_lambda = lam.imag
         want = tmp_path / "want.svg"
-        write_svg_scatter(rows, 3, want)
+        write_svg_scatter(Records.from_rows(rows, (3,)), 3, want)
         assert out.read_bytes() == want.read_bytes()
 
     def test_unknown_normalization_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):

@@ -51,15 +51,6 @@ def elliptic_config(n, tau, trials, seed, q_set=(2,), workers=1, **kw):
     )
 
 
-def record_bits(records):
-    """Every field of every record as float64 bytes, for bitwise comparison."""
-    rows = [
-        [r.trial_id, r.idx, r.re_lambda, r.im_lambda, r.is_real_eig, r.residual, *r.ipr.values()]
-        for r in records
-    ]
-    return np.array(rows, dtype=float).tobytes()
-
-
 def _pairing_loop(w, fro):
     """The per-eigenvalue loop `realness_threshold` replaced, kept as its oracle."""
     w = np.asarray(w)
@@ -289,7 +280,7 @@ class TestSpectrumIprMap:
             spectrum_ipr_map(RunConfig(spec=spec, trials=4, q_set=(2, 3), seed=23, workers=w))
             for w in (1, 2)
         ]
-        assert runs[0] and record_bits(runs[0]) == record_bits(runs[1])
+        assert len(runs[0]) and runs[0] == runs[1]
 
     def test_public_layer_calls_reproduce_pipeline(self):
         # The per-trial chain rebuilt from public calls on a thread pool, as a
@@ -317,7 +308,7 @@ class TestSpectrumIprMap:
         with ThreadPoolExecutor(max_workers=2) as pool:
             rebuilt = [rec for recs in pool.map(trial, range(cfg.trials)) for rec in recs]
         table = spectrum_ipr_map(cfg)
-        assert record_bits(rebuilt) == record_bits(table)
+        assert Records.from_rows(rebuilt) == table
         # The table iterates into the same rows, of the same Python types.
         rows = list(table)
         assert rows == rebuilt
@@ -327,15 +318,13 @@ class TestSpectrumIprMap:
         records = spectrum_ipr_map(elliptic_config(40, 0.0, 6, seed=11, q_set=(2, 4)))
         assert records
         n = 40
-        for rec in records:
-            assert set(rec.ipr) == {2, 4}
-            assert 1.0 <= rec.ipr[2] <= n
-            assert 1.0 <= rec.ipr[4] <= n**3
-            assert rec.residual <= 1e-9
-            assert rec.is_real_eig == (rec.im_lambda == 0.0)
-            assert rec.im_lambda >= 0.0
-        trials = {rec.trial_id for rec in records}
-        assert trials == set(range(6))
+        assert records.orders == (2, 4)
+        assert np.all((1.0 <= records.ipr[2]) & (records.ipr[2] <= n))
+        assert np.all((1.0 <= records.ipr[4]) & (records.ipr[4] <= n**3))
+        assert np.all(records.residual <= 1e-9)
+        assert np.array_equal(records.is_real, records.im == 0.0)
+        assert np.all(records.im >= 0.0)
+        assert set(records.trial.tolist()) == set(range(6))
 
     def test_complex_ensemble_mean_ipr(self):
         cfg = RunConfig(
@@ -347,13 +336,13 @@ class TestSpectrumIprMap:
         )
         records = spectrum_ipr_map(cfg)
         assert len(records) == 4 * 500
-        assert not any(rec.is_real_eig for rec in records)
-        mean2 = np.mean([rec.ipr[2] for rec in records])
+        assert not records.is_real.any()
+        mean2 = np.mean(records.ipr[2])
         assert abs(mean2 - 2.0) < 0.05
 
     def test_real_axis_mean_ipr(self):
         records = spectrum_ipr_map(elliptic_config(500, 0.0, 8, seed=21, workers=4))
-        reals = [rec.ipr[2] for rec in records if rec.is_real_eig]
+        reals = records.ipr[2][records.is_real]
         assert len(reals) > 80
         assert abs(np.mean(reals) - 3.0) < 0.1
 
@@ -386,6 +375,12 @@ class TestRecords:
         nan = table.residual.copy()
         nan[0] = np.nan
         assert dataclasses.replace(table, residual=nan) == dataclasses.replace(table, residual=nan.copy())
+        # A table equals only a table, never the rows it iterates into.
+        assert table != list(table) and list(table) != table
+
+    def test_orders_must_ascend(self, table):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dataclasses.replace(table, ipr={3: table.ipr[3], 2: table.ipr[2]})
 
     def test_from_rows_round_trip(self, table):
         assert Records.from_rows(list(table)) == table
@@ -596,7 +591,7 @@ class TestSkipPolicy:
         with caplog.at_level("WARNING", logger="eigipr.experiments"):
             records = spectrum_ipr_map(elliptic_config(8, 0.0, 100, seed=2))
         assert len(calls) == 100
-        assert {r.trial_id for r in records} == set(range(1, 100))
+        assert set(records.trial.tolist()) == set(range(1, 100))
         assert "trial 0 skipped: eigenpair residual nan above contract" in caplog.text
 
 
@@ -621,6 +616,11 @@ class TestRunConfigValidation:
             RunConfig(spec=spec, trials=1, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, workers=0)
+
+    @pytest.mark.parametrize("q_set", [(2, 2), (3, 2, 3)])
+    def test_repeated_order_rejected(self, q_set):
+        with pytest.raises(ValueError, match="repeated IPR order"):
+            RunConfig(spec=EnsembleSpec(kind="elliptic_real", N=10), trials=1, q_set=q_set)
 
 
 class TestBlasThreads:

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -69,7 +70,6 @@ class TestRecordsCsv:
         write_records_csv(records, path)
         back = read_records_csv(path)
         assert isinstance(back, Records)
-        assert back == records
         assert back == Records.from_rows(records)
 
     def test_header_order_of_iprs_not_kept(self, tmp_path):
@@ -87,6 +87,40 @@ class TestRecordsCsv:
         assert table == Records.from_entries(
             [(0, 0, 0.5, 0.25, False, 2.25, 4.5, 1e-15), (1, 3, -0.5, 0.0, True, 2.5, 14.0, 2e-15)], (2, 3)
         )
+
+    def test_repeated_order_rejected_before_open(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"keep me\n")
+        table = Records.from_entries([(0, 0, 1.0, 0.5, False, 2.2, 2.3, 1.25e-13)], (2, 3))
+        with pytest.raises(ValueError, match="repeated IPR order"):
+            write_records_csv(table, path, q_set=(2, 2, 3))
+        assert path.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "trial,idx,re_lamda,im_lambda,is_real,ipr_q2,residual",  # misspelt
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_2,residual",  # not ipr_q<int>
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q2",  # no residual
+            "trial,idx,re_lambda,im_lambda,is_real",
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q2,ipr_q2,ipr_q3,residual",  # repeated order
+        ],
+    )
+    def test_bad_header_rejected_before_rows(self, header, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(header + "\r\n" + ",".join(["1"] * len(header.split(","))) + "\r\n")
+        bad_header = re.escape(f"{path}: bad records CSV header") + ".*" + re.escape(header)
+        with pytest.raises(ValueError, match=bad_header):
+            read_records_csv(path)
+
+    def test_theory_table_rejected(self, tmp_path, capsys):
+        from eigipr.cli import main
+
+        path = tmp_path / "cdf.csv"
+        assert main(["theory-cdf", "--q", "2", "--y", "0.5", "--grid", "2.1:2.9:5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad records CSV header") + ".*x,cdf"):
+            read_records_csv(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -171,7 +205,8 @@ class TestDensityCsv:
 
 class TestSvgScatter:
     def test_structure_and_color_clipping(self, tmp_path):
-        records = [make_record(0, i, 0.1 * i, 0.05 * i) for i in range(8)]
+        # IPRs 2.2 to 9.2: all but the first above the (2q-1)!! = 3 ceiling.
+        records = Records.from_entries([(0, i, 0.1 * i, 0.05 * i, i == 0, 2.2 + i, 1.25e-13) for i in range(8)], (2,))
         path = tmp_path / "fig.svg"
         write_svg_scatter(records, 2, path)
         text = path.read_text()
@@ -183,4 +218,4 @@ class TestSvgScatter:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_svg_scatter([], 2, tmp_path / "x.svg")
+            write_svg_scatter(Records.from_entries([], (2,)), 2, tmp_path / "x.svg")

@@ -270,11 +270,17 @@ class TestSyntheticEigvec:
         assert stds[0] > stds[1] > stds[2]
 
     def test_domain_errors(self):
+        # (y, tau) are checked before the first draw: a refused call leaves
+        # the generator as it was, one row or a block.
         rng = np.random.default_rng(22)
-        with pytest.raises(ValueError):
-            synthetic_eigvec_sample(64, -1.0, 0.0, rng)
-        with pytest.raises(ValueError):
-            synthetic_eigvec_sample(64, 0.5, 1.0, rng)
+        state = rng.bit_generator.state
+        for size in (None, 3):
+            with pytest.raises(ValueError, match="y must be > 0"):
+                synthetic_eigvec_sample(64, -1.0, 0.0, rng, size=size)
+            assert rng.bit_generator.state == state
+            with pytest.raises(ValueError, match="tau must be in"):
+                synthetic_eigvec_sample(64, 0.5, 1.0, rng, size=size)
+            assert rng.bit_generator.state == state
 
 
 # The sizes are one row, a prime, and 201, which is not a multiple of the 81
