@@ -118,12 +118,14 @@ def _resolve(command, args):
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
-        if "command" in cfg:
+        if isinstance(cfg, dict) and "command" in cfg:
             if cfg["command"] != command:
                 raise UsageError(
                     f"config file is for {cfg['command']!r}, not {command!r}"
                 )
             cfg = cfg.get("params", {})
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object of parameters")
         unknown = set(cfg) - set(schema)
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -154,17 +156,15 @@ def _resolve(command, args):
     return params
 
 
-# Parameters that set an EnsembleSpec field, and those that set a RunConfig bin
-# field (name -> field); a command without one leaves the field's default.
-_SPEC_KEYS = ("tau", "nu", "d", "perm_mode", "theta")
+# Parameters that set a RunConfig bin field (name -> field), besides those named
+# after an EnsembleSpec field; a field that no parameter sets keeps its default.
 _BIN_FIELDS = {"y": "y_center", "relwidth": "rel_width", "xwindow": "x_window"}
 
 
 def _make_run_config(p, q_set):
     spec = ensembles.EnsembleSpec(
         kind=_ensemble_kind(p["ensemble"]),
-        N=p["N"],
-        **{key: p[key] for key in _SPEC_KEYS if key in p},
+        **{f.name: p[f.name] for f in dataclasses.fields(ensembles.EnsembleSpec) if f.name in p},
     )
     return experiments.RunConfig(
         spec=spec,
@@ -243,12 +243,11 @@ def _run_compare(p):
     if not p["tau"] < 1.0:
         raise ValueError(f"compare needs tau < 1, got {p['tau']}")
     # The law tested is the elliptic one at the raw y and tau.  Real Ginibre
-    # is its tau = 0 case (its sampler ignores tau); the other kinds need the
-    # local density of ROADMAP item 4 first.
-    kind = config.spec.kind
-    if not (kind == "elliptic_real" or kind == "ginibre_real" and p["tau"] == 0.0):
+    # is its tau = 0 case (its spec refuses any other tau); the other kinds
+    # need the local density of ROADMAP item 4 first.
+    if config.spec.kind not in ("elliptic_real", "ginibre_real"):
         raise ValueError(
-            f"compare tests the elliptic law, which does not apply to {p['ensemble']} at tau={p['tau']}; "
+            f"compare tests the elliptic law, which does not apply to {p['ensemble']}; "
             "only elliptic, and ginibre-real at tau 0, until ROADMAP item 4 (local universality) lands"
         )
     records = experiments.spectrum_ipr_map(config)

@@ -103,6 +103,7 @@ class Records:
     @classmethod
     def _from_columns(cls, trial, idx, re, im, is_real, iprs, residual, orders):
         """The table of per-column sequences, ``iprs`` holding one sequence per order in ``orders``."""
+        _ascending_orders(orders)
         ipr = sorted(zip(map(int, orders), iprs), key=lambda qc: qc[0])
         return cls(
             trial=_int_column(trial),
@@ -120,7 +121,7 @@ class Records:
 
         Each tuple holds one IPR value per order in ``orders``, in that order;
         the table keeps the IPR columns in ascending order whatever the order
-        given.
+        given.  A repeated order raises `ValueError`.
         """
         orders = list(orders)
         trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * (len(orders) + 6)
@@ -131,7 +132,8 @@ class Records:
         """The table of an iterable of `EigRecord` rows.
 
         ``orders`` defaults to the IPR orders of the first row; every row
-        must hold every order kept (`KeyError` otherwise).
+        must hold every order kept (`KeyError` otherwise), and no order may
+        repeat (`ValueError`).
         """
         rows = list(rows)
         if orders is None:

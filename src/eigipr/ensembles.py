@@ -22,7 +22,7 @@ matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,14 +41,20 @@ __all__ = [
     "sample_permutation_sum",
 ]
 
-KINDS = (
-    "elliptic_real",
-    "ginibre_real",
-    "ginibre_complex",
-    "induced_ginibre",
-    "orthogonal_sum",
-    "permutation_sum",
-)
+# kind -> (sampler of ``(spec, rng)``, the spec fields it reads beyond ``kind``
+# and ``N``).  A permutation sum reads ``theta`` only in ``ewens`` mode.
+_KINDS = {
+    "elliptic_real": (lambda spec, rng: sample_elliptic(spec.N, spec.tau, rng), ("tau",)),
+    "ginibre_real": (lambda spec, rng: sample_ginibre_real(spec.N, rng), ()),
+    "ginibre_complex": (lambda spec, rng: sample_ginibre_complex(spec.N, rng), ()),
+    "induced_ginibre": (lambda spec, rng: sample_induced_ginibre(spec.N, spec.nu, rng), ("nu",)),
+    "orthogonal_sum": (lambda spec, rng: sample_orthogonal_sum(spec.N, spec.d, rng), ("d",)),
+    "permutation_sum": (
+        lambda spec, rng: sample_permutation_sum(spec.N, spec.d, rng, mode=spec.perm_mode, theta=spec.theta),
+        ("d", "perm_mode", "theta"),
+    ),
+}
+KINDS = tuple(_KINDS)
 
 NORMALIZATIONS = ("none", "bulk", "empirical")
 
@@ -57,8 +63,11 @@ NORMALIZATIONS = ("none", "bulk", "empirical")
 class EnsembleSpec:
     """Which ensemble to sample and with which parameters.
 
-    ``tau`` applies to the elliptic kind, ``nu`` to the induced kind, ``d``,
-    ``perm_mode`` and ``theta`` to the sum kinds.
+    ``tau`` applies to the elliptic kind, ``nu`` to the induced kind, ``d`` to
+    the sum kinds, ``perm_mode`` to the permutation sum and ``theta`` to its
+    ``ewens`` mode.  A field the kind does not read must keep its default:
+    anything else raises `ValueError`, so a spec never describes a matrix
+    other than the one sampled.
     """
 
     kind: str
@@ -84,6 +93,11 @@ class EnsembleSpec:
             raise ValueError(f"perm_mode must be 'uniform' or 'ewens', got {self.perm_mode!r}")
         if self.theta <= 0.0:
             raise ValueError(f"Ewens parameter theta must be > 0, got {self.theta}")
+        for f in fields(self)[2:]:  # the fields past kind and N
+            value = getattr(self, f.name)
+            read = f.name in _KINDS[self.kind][1] and (f.name != "theta" or self.perm_mode == "ewens")
+            if not read and value != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}: leave it at {f.default!r}, got {value!r}")
 
 
 def sample_elliptic(n, tau, rng):
@@ -237,19 +251,7 @@ def sample_permutation_sum(n, d, rng, mode="uniform", theta=1.0):
 
 def sample(spec, rng):
     """Draw one matrix according to an `EnsembleSpec`."""
-    if spec.kind == "elliptic_real":
-        return sample_elliptic(spec.N, spec.tau, rng)
-    if spec.kind == "ginibre_real":
-        return sample_ginibre_real(spec.N, rng)
-    if spec.kind == "ginibre_complex":
-        return sample_ginibre_complex(spec.N, rng)
-    if spec.kind == "induced_ginibre":
-        return sample_induced_ginibre(spec.N, spec.nu, rng)
-    if spec.kind == "orthogonal_sum":
-        return sample_orthogonal_sum(spec.N, spec.d, rng)
-    if spec.kind == "permutation_sum":
-        return sample_permutation_sum(spec.N, spec.d, rng, mode=spec.perm_mode, theta=spec.theta)
-    raise ValueError(f"unknown ensemble kind {spec.kind!r}")
+    return _KINDS[spec.kind][0](spec, rng)
 
 
 def _check_normalization(mode, kind, d):

@@ -295,12 +295,8 @@ def spectrum_ipr_map(config):
             skipped.append(trial)
             log.warning("trial %d skipped: %s", trial, exc)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(run, range(config.trials)))
-    else:
-        for trial in range(config.trials):
-            run(trial)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        list(pool.map(run, range(config.trials)))
 
     if len(skipped) > 0.01 * config.trials:
         raise RunError(f"{len(skipped)}/{config.trials} trials failed the eigensolve")

@@ -70,7 +70,8 @@ def read_records_csv(path):
 
     The header is checked before any row is read: the five leading columns,
     ``ipr_q<q>`` columns of distinct orders, then ``residual``.  Any other
-    header raises `ValueError` naming the file.
+    header, and an ``is_real`` field other than ``0`` or ``1``, raises
+    `ValueError` naming the file.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -85,6 +86,8 @@ def read_records_csv(path):
             if len(row) != len(header):
                 raise ValueError(f"{path}: a row does not have the header's {len(header)} fields")
             trial, idx, re, im, is_real, *numbers = row
+            if is_real not in ("0", "1"):
+                raise ValueError(f"{path}: is_real must be 0 or 1, got {is_real!r}")
             entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
     return Records.from_entries(entries, orders)
 

@@ -244,7 +244,8 @@ class TestCompare:
         assert trials == []
 
     def test_real_ginibre_only_at_tau_zero(self, tmp_path, capsys, monkeypatch):
-        # The real Ginibre sampler ignores tau, while the law tested uses it.
+        # The real Ginibre sampler does not read tau, while the law tested uses
+        # it, so its spec refuses any other tau.
         import eigipr.experiments as exp
 
         out = tmp_path / "report.json"
@@ -254,11 +255,37 @@ class TestCompare:
         real_run = exp._run_trial
         monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t) or real_run(c, t))
         code, _, err = run_cli([*args, "--tau", "0.5"], capsys)
-        assert code == 2 and "ROADMAP item 4" in err and trials == []
+        assert code == 2 and "ginibre_real does not read tau" in err and trials == []
         code, _, _ = run_cli([*args, "--tau", "0"], capsys)
         assert code == 0 and len(trials) == 300
         report = json.loads(out.read_text())
         assert report["ensemble"] == "ginibre_real" and report["n_samples"] >= 100
+
+
+class TestEnsembleFields:
+    def test_aliases_name_every_kind(self):
+        from eigipr import cli
+        from eigipr.ensembles import KINDS
+
+        assert set(cli._ENSEMBLE_ALIASES.values()) == set(KINDS)
+
+    @pytest.mark.parametrize(
+        "command, args, message",
+        [
+            ("sample-spectrum", ["--ensemble", "ginibre-real", "--tau", "0.5"], "ginibre_real does not read tau"),
+            ("figure", ["--ensemble", "elliptic", "--nu", "3"], "elliptic_real does not read nu"),
+        ],
+    )
+    def test_ignored_field_fails_before_any_trial(self, command, args, message, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        trials = []
+        run_trial = exp._run_trial
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t) or run_trial(c, t))
+        out = tmp_path / "out"
+        code, _, err = run_cli([command, *args, "--N", "10", "--trials", "2", "--out", str(out)], capsys)
+        assert code == 2 and message in err
+        assert trials == [] and not out.exists()
 
 
 class TestConvergence:
@@ -443,6 +470,18 @@ class TestUsageAndSeeds:
             ["theory-density", "--y", "1", "--config", "/nonexistent.json"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        ["5", '"y"', '["tau"]', '{"command": "theory-mean", "params": 5}'],
+        ids=["number", "string", "list", "params-number"],
+    )
+    def test_config_not_an_object_is_usage_error(self, content, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(content)
+        code, out, err = run_cli(["theory-mean", "--y", "1", "--config", str(cfg_file)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"usage error: config file {cfg_file} must hold a JSON object of parameters\n"
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("IPR_RMT_SEED", "424242")

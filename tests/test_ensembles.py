@@ -18,6 +18,7 @@ from eigipr import (
     sample_orthogonal_sum,
     sample_permutation_sum,
 )
+from eigipr.ensembles import KINDS
 
 
 def cycle_count(perm):
@@ -319,6 +320,51 @@ class TestSpecAndDeterminism:
         m1 = sample(spec, np.random.default_rng(99))
         m2 = sample(spec, np.random.default_rng(99))
         assert np.array_equal(m1, m2)
+
+    # One spec per kind, setting every field the kind reads away from its
+    # default (the permutation sum in both modes), and the direct call it is.
+    DIRECT = [
+        ("elliptic_real", dict(tau=0.4), lambda rng: sample_elliptic(12, 0.4, rng)),
+        ("ginibre_real", {}, lambda rng: sample_ginibre_real(12, rng)),
+        ("ginibre_complex", {}, lambda rng: sample_ginibre_complex(12, rng)),
+        ("induced_ginibre", dict(nu=3), lambda rng: sample_induced_ginibre(12, 3, rng)),
+        ("orthogonal_sum", dict(d=3), lambda rng: sample_orthogonal_sum(12, 3, rng)),
+        ("permutation_sum", dict(d=3), lambda rng: sample_permutation_sum(12, 3, rng)),
+        (
+            "permutation_sum",
+            dict(d=2, perm_mode="ewens", theta=0.7),
+            lambda rng: sample_permutation_sum(12, 2, rng, mode="ewens", theta=0.7),
+        ),
+    ]
+
+    def test_direct_calls_cover_every_kind(self):
+        assert sorted({kind for kind, _, _ in self.DIRECT}) == sorted(KINDS)
+
+    @pytest.mark.parametrize("kind, fields, direct", DIRECT)
+    def test_sample_is_the_direct_call(self, kind, fields, direct):
+        got = sample(EnsembleSpec(kind=kind, N=12, **fields), np.random.default_rng(17))
+        want = direct(np.random.default_rng(17))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, fields, ignored",
+        [
+            ("ginibre_real", dict(tau=0.5), "tau"),
+            ("ginibre_complex", dict(nu=3), "nu"),
+            ("elliptic_real", dict(d=2), "d"),
+            ("induced_ginibre", dict(perm_mode="ewens"), "perm_mode"),
+            ("orthogonal_sum", dict(theta=2.0), "theta"),
+            ("permutation_sum", dict(d=2, theta=2.0), "theta"),  # uniform mode
+        ],
+    )
+    def test_spec_refuses_a_field_its_kind_ignores(self, kind, fields, ignored):
+        with pytest.raises(ValueError, match=f"^{kind} does not read {ignored}: "):
+            EnsembleSpec(kind=kind, N=10, **fields)
+
+    def test_spec_accepts_an_ignored_field_at_its_default(self):
+        EnsembleSpec(kind="ginibre_real", N=10, tau=0, nu=0, d=1, perm_mode="uniform", theta=1.0)
+        EnsembleSpec(kind="permutation_sum", N=10, d=2, theta=1.0)
+        EnsembleSpec(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=2.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

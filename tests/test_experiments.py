@@ -382,6 +382,14 @@ class TestRecords:
         with pytest.raises(ValueError, match="strictly ascending"):
             dataclasses.replace(table, ipr={3: table.ipr[3], 2: table.ipr[2]})
 
+    def test_from_entries_refuses_a_repeated_order(self):
+        with pytest.raises(ValueError, match="repeated IPR order"):
+            Records.from_entries([(0, 0, 1.0, 0.0, True, 2.0, 3.0, 0.0)], (2, 2))
+
+    def test_from_rows_refuses_a_repeated_order(self, table):
+        with pytest.raises(ValueError, match="repeated IPR order"):
+            Records.from_rows(list(table), orders=(3, 2, 3))
+
     def test_from_rows_round_trip(self, table):
         assert Records.from_rows(list(table)) == table
         assert Records.from_rows(list(table), orders=(3,)).orders == (3,)

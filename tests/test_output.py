@@ -122,6 +122,13 @@ class TestRecordsCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: bad records CSV header") + ".*x,cdf"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("flag", ["true", "2", "", "01"])
+    def test_is_real_other_than_0_or_1_rejected(self, flag, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"trial,idx,re_lambda,im_lambda,is_real,ipr_q2,residual\r\n0,0,1.0,0.0,{flag},2.0,1e-13\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: is_real must be 0 or 1, got {flag!r}")):
+            read_records_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         write_records_csv([make_record(0, 0, 1.0, 0.5)], path)
