@@ -9,7 +9,6 @@ from .core import EigRecord, Records, double_factorial_odd, factorial, ipr, unif
 from .ensembles import (
     EnsembleSpec,
     ewens_permutation,
-    normalize_spectrum,
     sample,
     sample_elliptic,
     sample_ginibre_complex,

@@ -2,9 +2,9 @@
 
 Every run prints its fully resolved configuration (including the defaulted
 seed) as JSON on stderr; feeding that JSON back through ``--config``
-reproduces the outputs byte for byte.  Flags override config-file values; a
-missing seed falls back to the ``IPR_RMT_SEED`` environment variable and then
-to OS entropy.
+reproduces the outputs byte for byte.  Flags override config-file values, and
+a null value in the file means the default.  A missing seed falls back to the
+``IPR_RMT_SEED`` environment variable and then to OS entropy.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or data error.
 """
@@ -45,13 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _ensemble_kind(name):
-    kind = _ENSEMBLE_ALIASES.get(name, name)
-    if kind not in ensembles.KINDS:
-        raise ValueError(f"unknown ensemble {name!r}")
-    return kind
 
 
 def _split(value, sep):
@@ -136,7 +129,7 @@ def _resolve(command, args):
             merged[key] = flag_val
     params = {}
     for key, (conv, default) in schema.items():
-        if key in merged:
+        if merged.get(key) is not None:
             try:
                 params[key] = conv(merged[key])
             except (TypeError, ValueError) as exc:
@@ -163,7 +156,7 @@ _BIN_FIELDS = {"y": "y_center", "relwidth": "rel_width", "xwindow": "x_window"}
 
 def _make_run_config(p, q_set):
     spec = ensembles.EnsembleSpec(
-        kind=_ensemble_kind(p["ensemble"]),
+        kind=_ENSEMBLE_ALIASES.get(p["ensemble"], p["ensemble"]),
         **{f.name: p[f.name] for f in dataclasses.fields(ensembles.EnsembleSpec) if f.name in p},
     )
     return experiments.RunConfig(
@@ -191,16 +184,7 @@ def _run_sample_spectrum(p):
 
 
 def _run_figure(p):
-    mode = p["normalization"]
-    config = _make_run_config(p, (p["q"],))
-    # Refuse a mode that cannot apply to this ensemble before any trial runs.
-    ensembles._check_normalization(mode, config.spec.kind, config.spec.d)
-    records = experiments.spectrum_ipr_map(config)
-    if mode != "none":
-        lams = np.empty(len(records), dtype=complex)
-        lams.real, lams.imag = records.re, records.im
-        lams = ensembles.normalize_spectrum(lams, mode, kind=config.spec.kind, d=config.spec.d)
-        records = dataclasses.replace(records, re=lams.real, im=lams.imag)
+    records = experiments.spectrum_ipr_map(_make_run_config(p, (p["q"],)))
     output.write_svg_scatter(records, p["q"], p["out"])
     return 0
 
@@ -242,6 +226,9 @@ def _run_compare(p):
     # and the limit law is undefined.  Refuse before any matrix is sampled.
     if not p["tau"] < 1.0:
         raise ValueError(f"compare needs tau < 1, got {p['tau']}")
+    # A KS distance lies in [0, 1]: a threshold outside (0, 1] passes or fails every run.
+    if not 0.0 < p["threshold"] <= 1.0:
+        raise ValueError(f"compare needs a threshold in (0, 1], got {p['threshold']}")
     # The law tested is the elliptic one at the raw y and tau.  Real Ginibre
     # is its tau = 0 case (its spec refuses any other tau); the other kinds
     # need the local density of ROADMAP item 4 first.
@@ -293,7 +280,7 @@ def _run_convergence(p):
 # (converter, default); _REQUIRED marks parameters with no default.
 _COMMANDS = {
     "sample-spectrum": (dict(_COMMON_RUN, q=(_q_list, (2,))), _run_sample_spectrum),
-    "figure": (dict(_COMMON_RUN, q=(int, 2), normalization=(str, "none")), _run_figure),
+    "figure": (dict(_COMMON_RUN, q=(int, 2)), _run_figure),
     "theory-density": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.density_ell, "density")),
     "theory-cdf": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.cdf_ell, "cdf")),
     "theory-sample": (dict(_LAW, n=(int, 10000), seed=(int, None), out=(str, "-")), _run_theory_sample),

@@ -22,6 +22,7 @@ matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "KINDS",
     "EnsembleSpec",
     "ewens_permutation",
-    "normalize_spectrum",
     "sample",
     "sample_elliptic",
     "sample_ginibre_complex",
@@ -56,7 +56,20 @@ _KINDS = {
 }
 KINDS = tuple(_KINDS)
 
-NORMALIZATIONS = ("none", "bulk", "empirical")
+
+def _count(what, value, low):
+    """``value`` as an int; `ValueError` unless it is a whole number (not NaN or inf) >= ``low``.
+
+    An `int` is never converted to float, which a large one would overflow.
+    """
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()) or not value >= low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_theta(theta):
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"Ewens parameter theta must be finite and > 0, got {theta}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,8 @@ class EnsembleSpec:
     the sum kinds, ``perm_mode`` to the permutation sum and ``theta`` to its
     ``ewens`` mode.  A field the kind does not read must keep its default:
     anything else raises `ValueError`, so a spec never describes a matrix
-    other than the one sampled.
+    other than the one sampled.  ``N``, ``nu`` and ``d`` must be whole
+    numbers (kept as ints), and ``theta`` finite.
     """
 
     kind: str
@@ -81,18 +95,15 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.N < 2:
-            raise ValueError(f"matrix dimension must be >= 2, got {self.N}")
+        # A whole-number float is kept as the int it equals.
+        object.__setattr__(self, "N", _count("matrix dimension", self.N, 2))
+        object.__setattr__(self, "nu", _count("charge parameter nu", self.nu, 0))
+        object.__setattr__(self, "d", _count("summand count d", self.d, 1))
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if self.nu < 0:
-            raise ValueError(f"charge parameter nu must be >= 0, got {self.nu}")
-        if self.d < 1:
-            raise ValueError(f"summand count d must be >= 1, got {self.d}")
         if self.perm_mode not in ("uniform", "ewens"):
             raise ValueError(f"perm_mode must be 'uniform' or 'ewens', got {self.perm_mode!r}")
-        if self.theta <= 0.0:
-            raise ValueError(f"Ewens parameter theta must be > 0, got {self.theta}")
+        _check_theta(self.theta)
         for f in fields(self)[2:]:  # the fields past kind and N
             value = getattr(self, f.name)
             read = f.name in _KINDS[self.kind][1] and (f.name != "theta" or self.perm_mode == "ewens")
@@ -118,8 +129,7 @@ def sample_elliptic(n, tau, rng):
         Symmetry parameter in ``[0, 1]``; 0 is real Ginibre, 1 is GOE.
     rng : numpy.random.Generator
     """
-    if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
+    n = _count("matrix dimension", n, 2)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
     root2 = math.sqrt(2.0)
@@ -138,15 +148,13 @@ def sample_elliptic(n, tau, rng):
 
 def sample_ginibre_real(n, rng):
     """Real Gaussian matrix with iid ``N(0, 1/N)`` entries."""
-    if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
+    n = _count("matrix dimension", n, 2)
     return rng.standard_normal((n, n)) / math.sqrt(n)
 
 
 def sample_ginibre_complex(n, rng):
     """Complex Gaussian matrix with iid symmetric ``N_C(0, 1/N)`` entries."""
-    if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
+    n = _count("matrix dimension", n, 2)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return z / math.sqrt(2.0 * n)
 
@@ -166,8 +174,7 @@ def sample_haar_orthogonal(n, rng, size=None):
         When given, return a stack of ``size`` independent matrices with
         shape ``(size, n, n)``.
     """
-    if n < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {n}")
+    n = _count("matrix dimension", n, 1)
     shape = (n, n) if size is None else (int(size), n, n)
     q, r = np.linalg.qr(rng.standard_normal(shape))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -182,11 +189,8 @@ def sample_induced_ginibre(n, nu, rng):
     first), ``U`` an independent Haar orthogonal (drawn second); the square
     root is taken by symmetric eigendecomposition.
     """
-    if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
-    nu = int(nu)
-    if nu < 0:
-        raise ValueError(f"charge parameter nu must be >= 0, got {nu}")
+    n = _count("matrix dimension", n, 2)
+    nu = _count("charge parameter nu", nu, 0)
     x = rng.standard_normal((n, n + nu))
     w, v = np.linalg.eigh(x @ x.T)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
@@ -195,8 +199,7 @@ def sample_induced_ginibre(n, nu, rng):
 
 def sample_orthogonal_sum(n, d, rng):
     """Sum of ``d`` independent Haar orthogonal matrices."""
-    if d < 1:
-        raise ValueError(f"summand count d must be >= 1, got {d}")
+    d = _count("summand count d", d, 1)
     return sample_haar_orthogonal(n, rng, size=d).sum(axis=0)
 
 
@@ -208,9 +211,8 @@ def ewens_permutation(n, theta, rng):
     the cycles are then filled with uniformly shuffled labels.  ``theta = 1``
     is the uniform law.
     """
-    n = int(n)
-    if theta <= 0.0:
-        raise ValueError(f"Ewens parameter theta must be > 0, got {theta}")
+    n = _count("permutation size n", n, 0)
+    _check_theta(theta)
     table = np.empty(n, dtype=np.int64)
     n_tables = 0
     for i in range(n):
@@ -237,8 +239,7 @@ def sample_permutation_sum(n, d, rng, mode="uniform", theta=1.0):
     ``mode='ewens'`` draws from the cycle-weighted law with parameter
     ``theta``.  Every row and column of the result sums to ``d``.
     """
-    if d < 1:
-        raise ValueError(f"summand count d must be >= 1, got {d}")
+    d = _count("summand count d", d, 1)
     if mode not in ("uniform", "ewens"):
         raise ValueError(f"mode must be 'uniform' or 'ewens', got {mode!r}")
     out = np.zeros((n, n))
@@ -253,41 +254,3 @@ def sample(spec, rng):
     """Draw one matrix according to an `EnsembleSpec`."""
     return _KINDS[spec.kind][0](spec, rng)
 
-
-def _check_normalization(mode, kind, d):
-    """Raise ValueError unless display mode ``mode`` applies to ensemble ``kind`` with ``d`` summands."""
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {mode!r}")
-    if mode != "bulk":
-        return
-    if kind == "permutation_sum":
-        if d is None or d < 2:
-            raise ValueError("bulk normalization of a permutation sum needs d >= 2")
-    elif kind == "orthogonal_sum":
-        if d is None or d < 1:
-            raise ValueError("bulk normalization of an orthogonal sum needs d >= 1")
-    else:
-        raise ValueError(
-            "bulk normalization is defined for the sum ensembles only; "
-            "use mode='empirical' for other kinds"
-        )
-
-
-def normalize_spectrum(eigs, mode, kind=None, d=None):
-    """Rescale a batch of eigenvalues for display in the unit disk.
-
-    ``mode='none'`` returns the input unchanged.  ``mode='bulk'`` divides by
-    a fixed constant: ``sqrt(d - 1)`` for permutation sums (``d >= 2``) and
-    ``sqrt(d)`` for orthogonal sums; these constants are display conventions,
-    not asymptotic claims.  ``mode='empirical'`` divides by the 0.999
-    quantile of ``|lam|`` pooled over the whole batch.
-    """
-    eigs = np.asarray(eigs)
-    if eigs.size == 0:
-        raise ValueError("cannot normalize an empty spectrum")
-    _check_normalization(mode, kind, d)
-    if mode == "none":
-        return eigs
-    if mode == "empirical":
-        return eigs / np.quantile(np.abs(eigs), 0.999)
-    return eigs / math.sqrt(d - 1 if kind == "permutation_sum" else d)

@@ -96,9 +96,10 @@ def write_json(payload, path):
     """Write ``payload`` as JSON: sorted keys, an indent of 2 and a final newline.
 
     The text is built before ``path`` is opened, so a payload that cannot be
-    serialized raises `TypeError` and leaves an existing file as it was.
+    serialized raises `TypeError`, and one holding NaN or an infinity (which
+    JSON cannot hold) `ValueError`; either leaves an existing file as it was.
     """
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with _sink(path) as fh:
         fh.write(text)
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +27,25 @@ def test_package_reexports_only_listed_names():
         if not attr.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public - listed == set()
+
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    # Parsed, not run: each demo takes seconds and writes files.
+    missing = []
+    for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "eigipr":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "eigipr":
+                    importlib.import_module(a.name)
+    assert missing == []

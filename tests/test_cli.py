@@ -165,13 +165,16 @@ class TestSampleSpectrum:
         assert trials == [] and not out.exists()
 
     def test_normalization_is_figure_only(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["sample-spectrum", "--ensemble", "elliptic", "--N", "10",
-             "--normalization", "bulk", "--out", str(tmp_path / "s.csv")],
-            capsys,
-        )
-        assert code == 1
-        assert "usage error" in err
+        # figure fits the spectrum to its canvas, so no command takes a rescaling.
+        for command in ("sample-spectrum", "figure"):
+            out = tmp_path / command
+            code, _, err = run_cli(
+                [command, "--ensemble", "elliptic", "--N", "10", "--normalization", "bulk", "--out", str(out)],
+                capsys,
+            )
+            assert code == 1
+            assert "usage error" in err
+            assert not out.exists()
 
     def test_reproducible_from_echoed_config(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -243,6 +246,20 @@ class TestCompare:
         assert message in err
         assert trials == []
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1", "1.5"])
+    def test_threshold_outside_unit_interval_fails_before_any_trial(self, threshold, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        trials = []
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(
+            ["compare", "--N", "60", "--trials", "80", "--seed", "1", "--threshold", threshold, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and "compare needs a threshold in (0, 1]" in err
+        assert trials == [] and not out.exists()
+
     def test_real_ginibre_only_at_tau_zero(self, tmp_path, capsys, monkeypatch):
         # The real Ginibre sampler does not read tau, while the law tested uses
         # it, so its spec refuses any other tau.
@@ -285,6 +302,22 @@ class TestEnsembleFields:
         out = tmp_path / "out"
         code, _, err = run_cli([command, *args, "--N", "10", "--trials", "2", "--out", str(out)], capsys)
         assert code == 2 and message in err
+        assert trials == [] and not out.exists()
+
+
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_fails_before_any_trial(self, theta, tmp_path, capsys, monkeypatch):
+        import eigipr.experiments as exp
+
+        trials = []
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t))
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(
+            ["sample-spectrum", "--ensemble", "permutation-sum", "--d", "2", "--perm-mode", "ewens",
+             "--theta", theta, "--N", "10", "--trials", "2", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and f"theta must be finite and > 0, got {theta}" in err
         assert trials == [] and not out.exists()
 
 
@@ -371,83 +404,37 @@ class TestFigure:
         out = tmp_path / "p.svg"
         code, _, _ = run_cli(
             ["figure", "--ensemble", "permutation-sum", "--N", "150", "--d", "4",
-             "--normalization", "bulk", "--trials", "2", "--q", "2", "--seed", "8",
-             "--out", str(out)],
+             "--trials", "2", "--q", "2", "--seed", "8", "--out", str(out)],
             capsys,
         )
         assert code == 0
         assert "<circle" in out.read_text()
 
     @pytest.mark.parametrize(
-        "spec, args, mode",
+        "spec, args",
         [
-            (dict(kind="induced_ginibre", N=80, nu=80), ["--ensemble", "induced", "--nu", "80"], "empirical"),
-            (dict(kind="orthogonal_sum", N=80, d=3), ["--ensemble", "orthogonal-sum", "--d", "3"], "bulk"),
+            (dict(kind="induced_ginibre", N=80, nu=80), ["--ensemble", "induced", "--nu", "80"]),
+            (dict(kind="orthogonal_sum", N=80, d=3), ["--ensemble", "orthogonal-sum", "--d", "3"]),
         ],
-        ids=["empirical", "bulk"],
+        ids=["induced", "orthogonal_sum"],
     )
-    def test_normalized_svg_matches_row_loop(self, spec, args, mode, tmp_path, capsys):
-        from eigipr import EnsembleSpec, Records, RunConfig, normalize_spectrum, spectrum_ipr_map
+    def test_svg_matches_row_loop(self, spec, args, tmp_path, capsys):
+        from eigipr import EnsembleSpec, Records, RunConfig, spectrum_ipr_map
         from eigipr.output import write_svg_scatter
 
         out = tmp_path / "n.svg"
         code, _, _ = run_cli(
-            ["figure", *args, "--N", "80", "--normalization", mode, "--trials", "3", "--q", "3",
+            ["figure", *args, "--N", "80", "--trials", "3", "--q", "3",
              "--seed", "4", "--workers", "2", "--out", str(out)],
             capsys,
         )
         assert code == 0
-        # The per-row loop the column replacement replaced, kept as its byte oracle.
+        # The run's rows rebuilt into a table by `Records.from_rows`: the byte oracle.
         spec = EnsembleSpec(**spec)
         rows = list(spectrum_ipr_map(RunConfig(spec=spec, trials=3, q_set=(3,), seed=4, workers=2)))
-        lams = np.array([complex(r.re_lambda, r.im_lambda) for r in rows])
-        lams = normalize_spectrum(lams, mode, kind=spec.kind, d=spec.d)
-        for rec, lam in zip(rows, lams):
-            rec.re_lambda = lam.real
-            rec.im_lambda = lam.imag
         want = tmp_path / "want.svg"
         write_svg_scatter(Records.from_rows(rows, (3,)), 3, want)
         assert out.read_bytes() == want.read_bytes()
-
-    def test_unknown_normalization_fails_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        import eigipr.experiments as exp
-
-        calls = []
-        monkeypatch.setattr(exp, "spectrum_ipr_map", lambda config: calls.append(config) or [])
-        code, _, err = run_cli(
-            ["figure", "--ensemble", "elliptic", "--N", "10", "--normalization", "unit",
-             "--out", str(tmp_path / "u.svg")],
-            capsys,
-        )
-        assert code == 2
-        assert "normalization" in err
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "args,message",
-        [
-            (["--ensemble", "elliptic"],
-             "bulk normalization is defined for the sum ensembles only; "
-             "use mode='empirical' for other kinds"),
-            (["--ensemble", "permutation-sum", "--d", "1"],
-             "bulk normalization of a permutation sum needs d >= 2"),
-        ],
-    )
-    def test_bulk_on_wrong_ensemble_fails_before_any_trial(self, args, message, tmp_path, capsys, monkeypatch):
-        import eigipr.experiments as exp
-
-        calls = []
-        run_trial = exp._run_trial
-        monkeypatch.setattr(exp, "_run_trial", lambda *a: calls.append(a) or run_trial(*a))
-        code, _, err = run_cli(
-            ["figure", *args, "--N", "10", "--trials", "4", "--normalization", "bulk",
-             "--out", str(tmp_path / "b.svg")],
-            capsys,
-        )
-        assert code == 2
-        assert err.endswith(f"error: {message}\n")
-        assert calls == []
-        assert not (tmp_path / "b.svg").exists()
 
 
 class TestUsageAndSeeds:
@@ -526,3 +513,34 @@ class TestUsageAndSeeds:
         )
         assert code == 0
         assert json.loads(err.strip().splitlines()[0])["params"]["y"] == 1.5
+
+    # A small run of every command.
+    REPLAYED = {
+        "sample-spectrum": ["--ensemble", "elliptic", "--N", "12", "--trials", "2"],
+        "figure": ["--ensemble", "elliptic", "--N", "12", "--trials", "2"],
+        "theory-density": ["--y", "0.5"],
+        "theory-cdf": ["--y", "0.5"],
+        "theory-sample": ["--y", "0.5", "--n", "50"],
+        "theory-mean": ["--y", "0.5"],
+        "compare": ["--N", "60", "--trials", "80", "--relwidth", "0.6", "--xwindow", "0.9", "--seed", "1"],
+        "convergence": ["--N-list", "8", "--trials", "10"],
+    }
+
+    def test_every_command_replayed(self):
+        from eigipr import cli
+
+        assert set(self.REPLAYED) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", REPLAYED)
+    def test_echoed_config_replays(self, command, tmp_path, capsys):
+        # The echo writes an unset optional parameter as null, which reads back as its default.
+        first, again = tmp_path / "first", tmp_path / "again"
+        code, _, err = run_cli([command, *self.REPLAYED[command], "--out", str(first)], capsys)
+        assert code == 0
+        echoed = json.loads(err.splitlines()[0])
+        echoed["params"]["out"] = str(again)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(echoed))
+        code, _, err = run_cli([command, "--config", str(cfg_file)], capsys)
+        assert code == 0, err
+        assert again.read_bytes() == first.read_bytes()

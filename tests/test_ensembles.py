@@ -8,7 +8,6 @@ from scipy.stats import chi2_contingency, ks_2samp
 from eigipr import (
     EnsembleSpec,
     ewens_permutation,
-    normalize_spectrum,
     sample,
     sample_elliptic,
     sample_ginibre_complex,
@@ -276,34 +275,6 @@ class TestSumModels:
             sample_permutation_sum(10, 2, rng, mode="ewens", theta=-1.0)
 
 
-class TestNormalizeSpectrum:
-    def test_none_is_identity(self):
-        eigs = np.array([1 + 1j, 2.0, -3j])
-        assert np.array_equal(normalize_spectrum(eigs, "none"), eigs)
-
-    def test_empirical_puts_bulk_in_disk(self):
-        rng = np.random.default_rng(23)
-        eigs = rng.standard_normal(100_000) * (1 + 1j)
-        out = normalize_spectrum(eigs, "empirical")
-        assert np.mean(np.abs(out) <= 1.0) >= 0.999
-
-    def test_bulk_permutation_constant(self):
-        out = normalize_spectrum(np.array([4.0]), "bulk", kind="permutation_sum", d=4)
-        assert out[0] == pytest.approx(4 / math.sqrt(3), rel=1e-14)
-
-    def test_bulk_orthogonal_constant(self):
-        out = normalize_spectrum(np.array([3.0]), "bulk", kind="orthogonal_sum", d=9)
-        assert out[0] == pytest.approx(1.0, rel=1e-14)
-
-    def test_bulk_errors(self):
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([1.0]), "bulk", kind="permutation_sum", d=1)
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([1.0]), "bulk", kind="elliptic_real")
-        with pytest.raises(ValueError):
-            normalize_spectrum(np.array([]), "none")
-
-
 class TestSpecAndDeterminism:
     @pytest.mark.parametrize(
         "spec",
@@ -377,3 +348,48 @@ class TestSpecAndDeterminism:
             EnsembleSpec(kind="permutation_sum", N=10, d=0)
         with pytest.raises(ValueError):
             EnsembleSpec(kind="permutation_sum", N=10, theta=0.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=math.nan),
+            dict(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=math.inf),
+            dict(kind="orthogonal_sum", N=10, d=2.5),
+            dict(kind="orthogonal_sum", N=10, d=math.nan),
+            dict(kind="orthogonal_sum", N=10, d=math.inf),
+            dict(kind="induced_ginibre", N=10, nu=1.5),
+            dict(kind="induced_ginibre", N=10, nu=math.nan),
+            dict(kind="elliptic_real", N=2.5),
+            dict(kind="elliptic_real", N=math.inf),
+            dict(kind="elliptic_real", N=10, tau=math.nan),
+        ],
+        ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items() if k != "kind"),
+    )
+    def test_spec_refuses_non_finite_and_fractional_values(self, fields):
+        with pytest.raises(ValueError):
+            EnsembleSpec(**fields)
+
+    def test_whole_number_floats_kept_as_ints(self):
+        spec = EnsembleSpec(kind="orthogonal_sum", N=12.0, d=3.0)
+        assert (type(spec.N), type(spec.d), type(spec.nu)) == (int, int, int)
+        assert spec == EnsembleSpec(kind="orthogonal_sum", N=12, d=3)
+        want = sample_orthogonal_sum(12, 3, np.random.default_rng(3))
+        assert np.array_equal(sample(spec, np.random.default_rng(3)), want)
+
+    def test_samplers_refuse_non_finite_and_fractional_values(self):
+        rng = np.random.default_rng(5)
+        for call in (
+            lambda: ewens_permutation(10, math.nan, rng),
+            lambda: ewens_permutation(10, math.inf, rng),
+            lambda: ewens_permutation(2.5, 1.0, rng),
+            lambda: sample_permutation_sum(10, 2.5, rng),
+            lambda: sample_permutation_sum(10, 2, rng, mode="ewens", theta=math.nan),
+            lambda: sample_orthogonal_sum(10, 1.5, rng),
+            lambda: sample_orthogonal_sum(10, math.nan, rng),
+            lambda: sample_induced_ginibre(10, 1.5, rng),
+            lambda: sample_induced_ginibre(10, math.nan, rng),
+            lambda: sample_elliptic(2.5, 0.0, rng),
+            lambda: sample_ginibre_real(math.inf, rng),
+        ):
+            with pytest.raises(ValueError):
+                call()

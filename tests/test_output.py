@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 
 import numpy as np
@@ -190,6 +191,15 @@ class TestJson:
         path.write_bytes(b"keep me\n")
         with pytest.raises(TypeError):
             write_json({"a": 1, "b": object()}, path)
+        assert path.read_bytes() == b"keep me\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payload_leaves_file(self, value, tmp_path):
+        # JSON has no NaN or infinity: writing Python's NaN/Infinity tokens would make an invalid file.
+        path = tmp_path / "r.json"
+        path.write_bytes(b"keep me\n")
+        with pytest.raises(ValueError):
+            write_json({"ks_distance": value}, path)
         assert path.read_bytes() == b"keep me\n"
 
 
