@@ -20,10 +20,11 @@ MODELS = [
     (EnsembleSpec(kind="induced_ginibre", N=400, nu=400), "induced.svg"),
     (EnsembleSpec(kind="orthogonal_sum", N=400, d=3), "orthogonal_sum.svg"),
     (EnsembleSpec(kind="permutation_sum", N=400, d=4), "permutation_sum.svg"),
-    (EnsembleSpec(kind="permutation_sum", N=400, d=4, perm_mode="ewens", theta=8.0), "ewens_sum.svg"),
+    (EnsembleSpec(kind="permutation_sum", N=400, d=4, theta=8.0), "ewens_sum.svg"),
 ]
 
 for spec, fname in MODELS:
     config = RunConfig(spec=spec, trials=6, q_set=(2,), seed=12, workers=4)
     write_svg_scatter(spectrum_ipr_map(config), 2, OUT / fname)
-    print(f"{spec.kind:18s} ({spec.perm_mode if spec.kind == 'permutation_sum' else '-':8s}) -> {OUT / fname}")
+    theta = f"theta {spec.theta:g}" if spec.kind == "permutation_sum" else "-"
+    print(f"{spec.kind:18s} ({theta:9s}) -> {OUT / fname}")

@@ -61,7 +61,10 @@ def _int_list(value):
 
 def _grid(value):
     lo, hi, n = _split(value, ":")
-    return float(lo), float(hi), int(n)
+    lo, hi, n = float(lo), float(hi), int(n)
+    if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+        raise ValueError(f"a grid needs finite endpoints and at least one point, got {lo}:{hi}:{n}")
+    return lo, hi, n
 
 
 def _pair(value):
@@ -69,15 +72,11 @@ def _pair(value):
     return float(a), float(b)
 
 
-# The parameters of the matrix commands sample-spectrum and figure.
+# The parameters of the matrix commands sample-spectrum and figure, with each EnsembleSpec field's own default.
 _COMMON_RUN = {
     "ensemble": (str, _REQUIRED),
     "N": (int, _REQUIRED),
-    "tau": (float, 0.0),
-    "nu": (int, 0),
-    "d": (int, 1),
-    "perm_mode": (str, "uniform"),
-    "theta": (float, 1.0),
+    **{f.name: (type(f.default), f.default) for f in dataclasses.fields(ensembles.EnsembleSpec)[2:]},
     "trials": (int, 10),
     "seed": (int, None),
     "workers": (int, None),
@@ -289,7 +288,7 @@ _COMMANDS = {
         {
             "ensemble": (str, "elliptic"),
             "N": (int, _REQUIRED),
-            "tau": (float, 0.0),
+            "tau": _COMMON_RUN["tau"],
             "trials": (int, _REQUIRED),
             "q": (int, 2),
             "y": (float, 0.5),

@@ -8,7 +8,7 @@ ginibre_real      iid ``N(0, 1/N)``                                 real
 ginibre_complex   iid complex ``N(0, 1/N)``                         complex
 induced_ginibre   ``U sqrt(X X^T)``, ``X`` of shape ``N x (N+nu)``  real
 orthogonal_sum    sum of ``d`` independent Haar orthogonals         real
-permutation_sum   sum of ``d`` independent permutation matrices     0/1 sums
+permutation_sum   sum of ``d`` Ewens(``theta``) permutations        0/1 sums
 ================= ================================================= ==========
 
 ``H`` is symmetric Gaussian (off-diagonal variance 1, diagonal variance 2)
@@ -41,8 +41,7 @@ __all__ = [
     "sample_permutation_sum",
 ]
 
-# kind -> (sampler of ``(spec, rng)``, the spec fields it reads beyond ``kind``
-# and ``N``).  A permutation sum reads ``theta`` only in ``ewens`` mode.
+# kind -> (sampler of ``(spec, rng)``, the spec fields it reads beyond ``kind`` and ``N``).
 _KINDS = {
     "elliptic_real": (lambda spec, rng: sample_elliptic(spec.N, spec.tau, rng), ("tau",)),
     "ginibre_real": (lambda spec, rng: sample_ginibre_real(spec.N, rng), ()),
@@ -50,8 +49,8 @@ _KINDS = {
     "induced_ginibre": (lambda spec, rng: sample_induced_ginibre(spec.N, spec.nu, rng), ("nu",)),
     "orthogonal_sum": (lambda spec, rng: sample_orthogonal_sum(spec.N, spec.d, rng), ("d",)),
     "permutation_sum": (
-        lambda spec, rng: sample_permutation_sum(spec.N, spec.d, rng, mode=spec.perm_mode, theta=spec.theta),
-        ("d", "perm_mode", "theta"),
+        lambda spec, rng: sample_permutation_sum(spec.N, spec.d, rng, spec.theta),
+        ("d", "theta"),
     ),
 }
 KINDS = tuple(_KINDS)
@@ -77,8 +76,8 @@ class EnsembleSpec:
     """Which ensemble to sample and with which parameters.
 
     ``tau`` applies to the elliptic kind, ``nu`` to the induced kind, ``d`` to
-    the sum kinds, ``perm_mode`` to the permutation sum and ``theta`` to its
-    ``ewens`` mode.  A field the kind does not read must keep its default:
+    the sum kinds and ``theta`` (1 for uniform permutations) to the
+    permutation sum.  A field the kind does not read must keep its default:
     anything else raises `ValueError`, so a spec never describes a matrix
     other than the one sampled.  ``N``, ``nu`` and ``d`` must be whole
     numbers (kept as ints), and ``theta`` finite.
@@ -89,7 +88,6 @@ class EnsembleSpec:
     tau: float = 0.0
     nu: int = 0
     d: int = 1
-    perm_mode: str = "uniform"
     theta: float = 1.0
 
     def __post_init__(self):
@@ -101,13 +99,10 @@ class EnsembleSpec:
         object.__setattr__(self, "d", _count("summand count d", self.d, 1))
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if self.perm_mode not in ("uniform", "ewens"):
-            raise ValueError(f"perm_mode must be 'uniform' or 'ewens', got {self.perm_mode!r}")
         _check_theta(self.theta)
         for f in fields(self)[2:]:  # the fields past kind and N
             value = getattr(self, f.name)
-            read = f.name in _KINDS[self.kind][1] and (f.name != "theta" or self.perm_mode == "ewens")
-            if not read and value != f.default:
+            if f.name not in _KINDS[self.kind][1] and value != f.default:
                 raise ValueError(f"{self.kind} does not read {f.name}: leave it at {f.default!r}, got {value!r}")
 
 
@@ -232,20 +227,18 @@ def ewens_permutation(n, theta, rng):
     return perm
 
 
-def sample_permutation_sum(n, d, rng, mode="uniform", theta=1.0):
-    """Sum of ``d`` independent permutation matrices.
+def sample_permutation_sum(n, d, rng, theta=1.0):
+    """Sum of ``d`` independent Ewens(``theta``) permutation matrices; each row and column sums to ``d``.
 
-    ``mode='uniform'`` draws uniform permutations (unbiased shuffle);
-    ``mode='ewens'`` draws from the cycle-weighted law with parameter
-    ``theta``.  Every row and column of the result sums to ``d``.
+    At ``theta = 1``, the uniform law, each permutation is drawn by the cheaper ``rng.permutation``.
     """
+    n = _count("matrix dimension", n, 2)
     d = _count("summand count d", d, 1)
-    if mode not in ("uniform", "ewens"):
-        raise ValueError(f"mode must be 'uniform' or 'ewens', got {mode!r}")
+    _check_theta(theta)
     out = np.zeros((n, n))
     rows = np.arange(n)
     for _ in range(d):
-        perm = rng.permutation(n) if mode == "uniform" else ewens_permutation(n, theta, rng)
+        perm = rng.permutation(n) if theta == 1.0 else ewens_permutation(n, theta, rng)
         out[rows, perm] += 1.0
     return out
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -36,6 +37,12 @@ def test_demos_found():
     assert DEMOS
 
 
+# The config dataclasses a demo builds: each keyword it passes must name a field.
+CONFIGS = {
+    cls.__name__: {f.name for f in dataclasses.fields(cls)} for cls in (eigipr.EnsembleSpec, eigipr.RunConfig)
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(demo):
     # Parsed, not run: each demo takes seconds and writes files.
@@ -48,4 +55,8 @@ def test_demo_imports_resolve(demo):
             for a in node.names:
                 if a.name.split(".")[0] == "eigipr":
                     importlib.import_module(a.name)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in CONFIGS:
+                missing += [f"{name}({k.arg}=)" for k in node.keywords if k.arg and k.arg not in CONFIGS[name]]
     assert missing == []

@@ -66,6 +66,14 @@ class TestTheoryCommands:
         assert code == 2
         assert "order must be in" in err
 
+    @pytest.mark.parametrize("command", ["theory-cdf", "theory-density"])
+    @pytest.mark.parametrize("grid", ["2:nan:3", "2:inf:3", "-inf:3:3", "2:3:0", "2:3:-1"])
+    def test_rejects_bad_grid(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli([command, "--y", "1", f"--grid={grid}", "--out", str(out)], capsys)
+        assert code == 1 and "bad value for --grid" in err
+        assert not out.exists()
+
     def test_sample_within_support(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code, _, _ = run_cli(
@@ -313,12 +321,30 @@ class TestEnsembleFields:
         monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t))
         out = tmp_path / "s.csv"
         code, _, err = run_cli(
-            ["sample-spectrum", "--ensemble", "permutation-sum", "--d", "2", "--perm-mode", "ewens",
+            ["sample-spectrum", "--ensemble", "permutation-sum", "--d", "2",
              "--theta", theta, "--N", "10", "--trials", "2", "--out", str(out)],
             capsys,
         )
         assert code == 2 and f"theta must be finite and > 0, got {theta}" in err
         assert trials == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample-spectrum", "figure"])
+    def test_flags_are_the_spec_fields(self, command, tmp_path, capsys):
+        from dataclasses import fields
+
+        from eigipr import EnsembleSpec
+
+        out = tmp_path / "out"
+        args = [command, "--ensemble", "elliptic", "--N", "8", "--trials", "1", "--seed", "1",
+                "--out", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 0
+        params = json.loads(err.splitlines()[0])["params"]
+        defaults = {f.name: f.default for f in fields(EnsembleSpec)[2:]}
+        run_keys = {"ensemble", "N", "q", "trials", "seed", "workers", "out"}
+        assert {k: v for k, v in params.items() if k not in run_keys} == defaults
+        code, _, err = run_cli([*args, "--perm-mode", "uniform"], capsys)
+        assert code == 1 and "unrecognized arguments: --perm-mode" in err
 
 
 class TestConvergence:

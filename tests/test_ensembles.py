@@ -234,8 +234,8 @@ class TestSumModels:
 
     def test_permutation_sum_row_column_sums(self):
         rng = np.random.default_rng(18)
-        for mode, theta in (("uniform", 1.0), ("ewens", 2.5)):
-            m = sample_permutation_sum(30, 4, rng, mode=mode, theta=theta)
+        for theta in (1.0, 2.5):
+            m = sample_permutation_sum(30, 4, rng, theta=theta)
             assert np.array_equal(m.sum(axis=0), np.full(30, 4.0))
             assert np.array_equal(m.sum(axis=1), np.full(30, 4.0))
 
@@ -272,7 +272,7 @@ class TestSumModels:
         with pytest.raises(ValueError):
             ewens_permutation(10, 0.0, rng)
         with pytest.raises(ValueError):
-            sample_permutation_sum(10, 2, rng, mode="ewens", theta=-1.0)
+            sample_permutation_sum(10, 2, rng, theta=-1.0)
 
 
 class TestSpecAndDeterminism:
@@ -284,7 +284,7 @@ class TestSpecAndDeterminism:
             EnsembleSpec(kind="ginibre_complex", N=12),
             EnsembleSpec(kind="induced_ginibre", N=12, nu=3),
             EnsembleSpec(kind="orthogonal_sum", N=12, d=3),
-            EnsembleSpec(kind="permutation_sum", N=12, d=2, perm_mode="ewens", theta=0.7),
+            EnsembleSpec(kind="permutation_sum", N=12, d=2, theta=0.7),
         ],
     )
     def test_same_seed_same_matrix(self, spec):
@@ -293,7 +293,7 @@ class TestSpecAndDeterminism:
         assert np.array_equal(m1, m2)
 
     # One spec per kind, setting every field the kind reads away from its
-    # default (the permutation sum in both modes), and the direct call it is.
+    # default (the permutation sum at uniform and Ewens theta), and the direct call it is.
     DIRECT = [
         ("elliptic_real", dict(tau=0.4), lambda rng: sample_elliptic(12, 0.4, rng)),
         ("ginibre_real", {}, lambda rng: sample_ginibre_real(12, rng)),
@@ -303,8 +303,8 @@ class TestSpecAndDeterminism:
         ("permutation_sum", dict(d=3), lambda rng: sample_permutation_sum(12, 3, rng)),
         (
             "permutation_sum",
-            dict(d=2, perm_mode="ewens", theta=0.7),
-            lambda rng: sample_permutation_sum(12, 2, rng, mode="ewens", theta=0.7),
+            dict(d=2, theta=0.7),
+            lambda rng: sample_permutation_sum(12, 2, rng, theta=0.7),
         ),
     ]
 
@@ -323,9 +323,9 @@ class TestSpecAndDeterminism:
             ("ginibre_real", dict(tau=0.5), "tau"),
             ("ginibre_complex", dict(nu=3), "nu"),
             ("elliptic_real", dict(d=2), "d"),
-            ("induced_ginibre", dict(perm_mode="ewens"), "perm_mode"),
+            ("induced_ginibre", dict(theta=2.0), "theta"),
             ("orthogonal_sum", dict(theta=2.0), "theta"),
-            ("permutation_sum", dict(d=2, theta=2.0), "theta"),  # uniform mode
+            ("permutation_sum", dict(d=2, tau=0.5), "tau"),
         ],
     )
     def test_spec_refuses_a_field_its_kind_ignores(self, kind, fields, ignored):
@@ -333,9 +333,9 @@ class TestSpecAndDeterminism:
             EnsembleSpec(kind=kind, N=10, **fields)
 
     def test_spec_accepts_an_ignored_field_at_its_default(self):
-        EnsembleSpec(kind="ginibre_real", N=10, tau=0, nu=0, d=1, perm_mode="uniform", theta=1.0)
+        EnsembleSpec(kind="ginibre_real", N=10, tau=0, nu=0, d=1, theta=1.0)
         EnsembleSpec(kind="permutation_sum", N=10, d=2, theta=1.0)
-        EnsembleSpec(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=2.0)
+        EnsembleSpec(kind="permutation_sum", N=10, d=2, theta=2.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -352,8 +352,8 @@ class TestSpecAndDeterminism:
     @pytest.mark.parametrize(
         "fields",
         [
-            dict(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=math.nan),
-            dict(kind="permutation_sum", N=10, d=2, perm_mode="ewens", theta=math.inf),
+            dict(kind="permutation_sum", N=10, d=2, theta=math.nan),
+            dict(kind="permutation_sum", N=10, d=2, theta=math.inf),
             dict(kind="orthogonal_sum", N=10, d=2.5),
             dict(kind="orthogonal_sum", N=10, d=math.nan),
             dict(kind="orthogonal_sum", N=10, d=math.inf),
@@ -383,7 +383,11 @@ class TestSpecAndDeterminism:
             lambda: ewens_permutation(10, math.inf, rng),
             lambda: ewens_permutation(2.5, 1.0, rng),
             lambda: sample_permutation_sum(10, 2.5, rng),
-            lambda: sample_permutation_sum(10, 2, rng, mode="ewens", theta=math.nan),
+            lambda: sample_permutation_sum(2.5, 2, rng),
+            lambda: sample_permutation_sum(0, 2, rng),
+            lambda: sample_permutation_sum(1, 2, rng),
+            lambda: sample_permutation_sum(10, 2, rng, theta=math.nan),
+            lambda: sample_permutation_sum(10, 2, rng, theta=math.inf),
             lambda: sample_orthogonal_sum(10, 1.5, rng),
             lambda: sample_orthogonal_sum(10, math.nan, rng),
             lambda: sample_induced_ginibre(10, 1.5, rng),
