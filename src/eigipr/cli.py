@@ -88,6 +88,10 @@ _LAW = {"q": (int, 2), "y": (float, _REQUIRED), "tau": (float, 0.0)}
 _THEORY_CURVE = dict(_LAW, grid=(_grid, None), out=(str, "-"))
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def _build_parser():
     parser = _Parser(prog="eigipr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,9 +99,24 @@ def _build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON file with parameter values")
         for key in params:
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, default=None, type=str)
+            p.add_argument(_flag(key), dest=key, default=None, type=str)
     return parser
+
+
+def _join_flag_values(argv):
+    """Rewrite each known ``--flag value`` pair as ``--flag=value``.
+
+    Every flag takes exactly one value, so the token after a flag is its
+    value even when it starts with ``-`` (``--grid -1:3:3``), which argparse
+    would otherwise read as a flag.
+    """
+    known = {"--config"} | {_flag(key) for params, _ in _COMMANDS.values() for key in params}
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in known else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
 
 
 def _resolve(command, args):
@@ -132,9 +151,9 @@ def _resolve(command, args):
             try:
                 params[key] = conv(merged[key])
             except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for --{key.replace('_', '-')}: {exc}")
+                raise UsageError(f"bad value for {_flag(key)}: {exc}")
         elif default is _REQUIRED:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
+            raise UsageError(f"{_flag(key)} is required")
         else:
             params[key] = default
     if "seed" in schema and params.get("seed") is None:
@@ -319,7 +338,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
         params = _resolve(args.command, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -199,31 +199,27 @@ def sample_orthogonal_sum(n, d, rng):
 
 
 def ewens_permutation(n, theta, rng):
-    """Random permutation of ``{0, ..., n-1}`` with cycle-count weight ``theta``.
+    """Ewens random permutation of ``{0, ..., n-1}``: ``P(sigma)`` is proportional to ``theta**cycles``.
 
-    Cycle lengths are generated by the Chinese-restaurant process (a new
-    cycle opens with probability ``theta / (theta + i)`` at step ``i``), and
-    the cycles are then filled with uniformly shuffled labels.  ``theta = 1``
-    is the uniform law.
+    Drawn by the Feller coupling (Arratia, Barbour and Tavare, *Logarithmic
+    Combinatorial Structures*, EMS 2003), with array operations only.  Step
+    ``i = 1..n`` closes the current cycle with probability
+    ``theta / (theta + n - i)``, one ``rng.random(n)`` value per step; the last
+    step always closes.  The cycles are then the consecutive runs of a
+    uniform shuffle ``rng.permutation(n)`` that end at the closing steps,
+    each label mapped to the next one in its run.  ``theta = 1`` is the
+    uniform law.  Returns an int64 array.
     """
     n = _count("permutation size n", n, 0)
     _check_theta(theta)
-    table = np.empty(n, dtype=np.int64)
-    n_tables = 0
-    for i in range(n):
-        if rng.random() * (theta + i) < theta:
-            table[i] = n_tables
-            n_tables += 1
-        else:
-            table[i] = table[rng.integers(i)]
-    sizes = np.bincount(table, minlength=n_tables)
+    closes = rng.random(n) * (np.arange(n - 1, -1, -1) + theta) < theta
+    closes[-1:] = True  # so rounding cannot leave the last cycle open
     labels = rng.permutation(n)
+    ends = np.flatnonzero(closes)
+    nxt = np.arange(1, n + 1)
+    nxt[ends] = np.concatenate(([0], ends + 1))[:-1]  # a run's last index points back to its first
     perm = np.empty(n, dtype=np.int64)
-    pos = 0
-    for length in sizes:
-        cyc = labels[pos : pos + length]
-        perm[cyc] = np.roll(cyc, -1)
-        pos += length
+    perm[labels] = labels[nxt]
     return perm
 
 

@@ -314,6 +314,9 @@ class EmpiricalDist:
         xs = np.sort(np.asarray(xs, dtype=float))
         if xs.size == 0:
             raise ValueError("empirical distribution needs at least one sample")
+        # A NaN would sort last and read as F = 0 there, so one would set the KS distance to 1.
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("empirical distribution needs finite samples")
         return cls(values=xs)
 
     @property

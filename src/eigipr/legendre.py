@@ -108,7 +108,7 @@ def g(q, x):
     """
     q = _check_order(q)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):  # NaN fails too
         raise ValueError("g is defined on x >= 1")
     mq, deficit, _ = _scaled_terms(q, _inverse_square(x), slope=False)
     return np.where(x < 2.0, factorial(q) * mq, double_factorial_odd(q) - deficit)[()]
@@ -125,7 +125,7 @@ def phi(q, x):
     """
     q = _check_order(q)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 1.0):
+    if not np.all(x >= 1.0):
         raise ValueError("phi is defined on x >= 1")
     w = _inverse_square(x)
     return (2.0 * w / x * _scaled_terms(q, w, slope=True)[2])[()]

@@ -17,6 +17,7 @@ large-``N`` limit:
 
 Densities and CDFs work elementwise: they take a scalar or an array and
 return the shape of their input, with a scalar giving a ``numpy.float64``.
+They are defined on the whole real line, so they return NaN at a NaN point.
 
 All functions take ``y`` as the *scaled* imaginary part (the eigenvalue is
 ``x + i y / sqrt(N)``), never the raw one.  Finite-size corrections are
@@ -76,7 +77,7 @@ def density_delta(delta, y, tau):
     z_norm = math.sqrt(math.pi * v / 2.0) * float(erfcx(y * math.sqrt(2.0 / v)))
     d = np.asarray(delta, dtype=float)
     body = d * np.exp(-np.square(d) / (2.0 * v)) / np.sqrt(np.square(d) + 4.0 * y * y)
-    return np.where(d > 0.0, body / z_norm, 0.0)[()]
+    return np.where(d <= 0.0, 0.0, body / z_norm)[()]
 
 
 def density_S(u, y, tau):
@@ -96,7 +97,7 @@ def density_S(u, y, tau):
     u = np.asarray(u, dtype=float)
     # Clamped at the truncation point so u < 1 cannot overflow the exponent.
     body = np.exp(-z * z * (np.square(np.maximum(u, 1.0)) - 1.0))
-    return np.where(u > 1.0, body / norm, 0.0)[()]
+    return np.where(u <= 1.0, 0.0, body / norm)[()]
 
 
 def cdf_S(u, y, tau):
@@ -111,7 +112,7 @@ def cdf_S(u, y, tau):
     # P(S > u) = erfc(u z) / erfc(z), evaluated as an erfcx ratio so both
     # tails stay finite for large y.
     tail = erfcx(uc * z) / erfcx(z) * np.exp(-z * z * (np.square(uc) - 1.0))
-    return np.where(u > 1.0, 1.0 - np.minimum(tail, 1.0), 0.0)[()]
+    return np.where(u <= 1.0, 0.0, 1.0 - np.minimum(tail, 1.0))[()]
 
 
 def _S_from_log_survival(log_p, y, tau):
@@ -179,7 +180,7 @@ def density_ell(q, ell, y, tau):
     _check_y_tau(y, tau)
     q = _check_order(q)
     ell = np.asarray(ell, dtype=float)
-    out = np.zeros_like(ell)
+    out = np.where(np.isnan(ell), np.nan, 0.0)
     inside = (ell > factorial(q)) & (ell < double_factorial_odd(q))
     x = g_inverse(q, ell[inside])
     # Every inside level is above q!, so a root that rounds to exactly 1 is
@@ -194,7 +195,7 @@ def cdf_ell(q, ell, y, tau):
     q = _check_order(q)
     ell = np.asarray(ell, dtype=float)
     hi = double_factorial_odd(q)
-    out = np.where(ell >= hi, 1.0, 0.0)
+    out = np.where(ell >= hi, 1.0, np.where(np.isnan(ell), np.nan, 0.0))
     inside = (ell > factorial(q)) & (ell < hi)
     out[inside] = cdf_S(g_inverse(q, ell[inside]), y, tau)
     return out[()]

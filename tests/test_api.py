@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -60,3 +61,19 @@ def test_demo_imports_resolve(demo):
             if name in CONFIGS:
                 missing += [f"{name}({k.arg}=)" for k in node.keywords if k.arg and k.arg not in CONFIGS[name]]
     assert missing == []
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_tour_rows_found():
+    assert set(re.findall(r"^\| `eigipr\.(\w+)`", README, flags=re.M)) == set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_readme_tour_names_every_public_name(name):
+    # The module's row of the README's "Library tour" names each entry of __all__ in backticks.
+    row = re.search(rf"^\| `eigipr\.{name}` .*$", README, flags=re.M).group(0)
+    named = set(re.findall(r"`([^`]+)`", row))
+    module = importlib.import_module(f"eigipr.{name}")
+    assert [attr for attr in module.__all__ if attr not in named] == []

@@ -469,6 +469,37 @@ class TestUsageAndSeeds:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("command", ["theory-density", "theory-cdf"])
+    def test_value_may_start_with_a_dash(self, command, tmp_path, capsys):
+        joined, split = tmp_path / "joined.csv", tmp_path / "split.csv"
+        assert run_cli([command, "--y", "1", "--grid=-1:3:3", "--out", str(joined)], capsys)[0] == 0
+        assert run_cli([command, "--y", "1", "--grid", "-1:3:3", "--out", str(split)], capsys)[0] == 0
+        assert split.read_bytes() == joined.read_bytes()
+        code, out, _ = run_cli([command, "--y", "1", "--grid", "-1:3:3", "--out", "-"], capsys)
+        assert code == 0 and out.encode() == joined.read_bytes()
+
+    def test_negative_amplitude_as_separate_value(self, capsys):
+        code, out, err = run_cli(
+            ["convergence", "--st", "-0.6,0.8", "--N-list", "8", "--trials", "10", "--seed", "1"], capsys
+        )
+        assert code == 0
+        assert json.loads(err.splitlines()[0])["params"]["st"] == [-0.6, 0.8]
+        assert out.startswith("N,mean,std,stderr,theory_mean\r\n")
+
+    @pytest.mark.parametrize("args", [["--frobnicate", "-1"], ["--N", "-1"], ["--grid"]])
+    def test_unknown_flag_or_missing_value(self, args, capsys):
+        # --N belongs to other commands; a flag at the end has no value.
+        code, out, err = run_cli(["theory-cdf", "--y", "1", *args], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theory-cdf", flag])
+        assert exc.value.code == 0
+        assert "--grid GRID" in capsys.readouterr().out
+
     def test_missing_required(self, capsys):
         code, _, err = run_cli(["theory-density"], capsys)
         assert code == 1

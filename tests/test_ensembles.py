@@ -1,9 +1,10 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, ks_2samp
+from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from eigipr import (
     EnsembleSpec,
@@ -266,6 +267,39 @@ class TestSumModels:
         few = np.mean([cycle_count(ewens_permutation(n, 0.2, rng)) for _ in range(draws)])
         many = np.mean([cycle_count(ewens_permutation(n, 5.0, rng)) for _ in range(draws)])
         assert few < many
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
+    def test_ewens_exact_law_on_s4(self, theta):
+        # P(sigma) = theta**cycles(sigma) / (theta (theta+1) (theta+2) (theta+3)) over all of S_4.
+        rng = np.random.default_rng(23)
+        draws = 100_000
+        perms = np.array(list(itertools.permutations(range(4))))
+        base = 4 ** np.arange(4)  # a permutation of S_4 as a base-4 code
+        drawn = np.array([ewens_permutation(4, theta, rng) for _ in range(draws)]) @ base
+        observed = (drawn[:, None] == perms @ base).sum(axis=0)
+        assert observed.sum() == draws
+        weights = np.array([theta ** cycle_count(p) for p in perms])
+        expected = draws * weights / math.prod(theta + i for i in range(4))
+        assert math.isclose(expected.sum(), draws)
+        assert chisquare(observed, expected).pvalue > 1e-6
+
+    def test_ewens_mean_cycle_count(self):
+        rng = np.random.default_rng(24)
+        n, theta, draws = 16, 8.0, 20_000
+        counts = np.array([cycle_count(ewens_permutation(n, theta, rng)) for _ in range(draws)])
+        # The cycle count is a sum of independent Bernoulli(theta / (theta + i)), i = 0..n-1.
+        p = theta / (theta + np.arange(n))
+        stderr = math.sqrt((p * (1.0 - p)).sum() / draws)
+        assert abs(counts.mean() - p.sum()) < 5.0 * stderr
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 17])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 8.0])
+    def test_ewens_returns_a_permutation(self, n, theta):
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            perm = ewens_permutation(n, theta, rng)
+            assert perm.dtype == np.int64
+            assert np.array_equal(np.sort(perm), np.arange(n))
 
     def test_theta_domain_error(self):
         rng = np.random.default_rng(22)

@@ -492,6 +492,12 @@ class TestEmpiricalDist:
         with pytest.raises(ValueError):
             EmpiricalDist.from_samples([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # A NaN would sort last and read as F = 0 there, setting the KS distance to 1.
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalDist.from_samples([2.5, 2.6, bad])
+
 
 class TestConvergenceStudy:
     def test_fixed_amplitude_mode_matches_exact_mean(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,14 @@ class TestG:
             g(1, 2.0)
         with pytest.raises(ValueError):
             g(31, 2.0)
+
+    def test_nan_rejected(self):
+        # g_inverse refuses NaN; so do g and phi, like any point below 1.
+        for f in (g, phi):
+            with pytest.raises(ValueError):
+                f(2, math.nan)
+            with pytest.raises(ValueError):
+                f(3, np.array([2.0, math.nan]))
 
 
 class TestPhi:

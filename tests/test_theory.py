@@ -315,6 +315,27 @@ class TestEllLaw:
             with pytest.raises(ValueError):
                 density_ell(q, np.array([0.0, 1e60]), 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "law, inside",
+        [
+            (functools.partial(cdf_ell, 2), 2.5),
+            (functools.partial(density_ell, 2), 2.5),
+            (functools.partial(cdf_ell, 5), 500.0),
+            (functools.partial(density_ell, 5), 500.0),
+            (cdf_S, 1.5),
+            (density_S, 1.5),
+            (density_delta, 0.5),
+        ],
+        ids=["cdf_ell_q2", "density_ell_q2", "cdf_ell_q5", "density_ell_q5", "cdf_S", "density_S", "density_delta"],
+    )
+    def test_nan_in_nan_out(self, law, inside):
+        # Each law is defined on the whole line, so a NaN point is not "outside the support".
+        assert math.isnan(law(math.nan, 1.0, 0.3))
+        got = law(np.array([math.nan, inside, -1.0, 40.0, math.nan]), 1.0, 0.3)
+        assert np.isnan(got[[0, 4]]).all() and not np.isnan(got[1:4]).any()
+        # The finite points keep the bits of calls without the NaNs.
+        assert got[1:4].tobytes() == law(np.array([inside, -1.0, 40.0]), 1.0, 0.3).tobytes()
+
 
 class TestMoments:
     @pytest.mark.parametrize(
