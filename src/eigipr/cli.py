@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import ensembles, experiments, output, theory
-from .core import double_factorial_odd, factorial
+from .core import _count, double_factorial_odd, factorial
 
 __all__ = ["main"]
 
@@ -51,17 +51,22 @@ def _split(value, sep):
     return value if isinstance(value, (list, tuple)) else str(value).split(sep)
 
 
+def _int(value):
+    """An int parameter: text in base 10, so ``"2.5"`` is refused, and a config file's number by `_count`."""
+    return int(value, 10) if isinstance(value, str) else _count("value", value)
+
+
 def _q_list(value):
-    return tuple(sorted(int(p) for p in _split(value, ",")))
+    return tuple(sorted(_int_list(value)))
 
 
 def _int_list(value):
-    return [int(p) for p in _split(value, ",")]
+    return [_int(p) for p in _split(value, ",")]
 
 
 def _grid(value):
     lo, hi, n = _split(value, ":")
-    lo, hi, n = float(lo), float(hi), int(n)
+    lo, hi, n = float(lo), float(hi), _int(n)
     if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
         raise ValueError(f"a grid needs finite endpoints and at least one point, got {lo}:{hi}:{n}")
     return lo, hi, n
@@ -75,16 +80,19 @@ def _pair(value):
 # The parameters of the matrix commands sample-spectrum and figure, with each EnsembleSpec field's own default.
 _COMMON_RUN = {
     "ensemble": (str, _REQUIRED),
-    "N": (int, _REQUIRED),
-    **{f.name: (type(f.default), f.default) for f in dataclasses.fields(ensembles.EnsembleSpec)[2:]},
-    "trials": (int, 10),
-    "seed": (int, None),
-    "workers": (int, None),
+    "N": (_int, _REQUIRED),
+    **{
+        f.name: (_int if type(f.default) is int else type(f.default), f.default)
+        for f in dataclasses.fields(ensembles.EnsembleSpec)[2:]
+    },
+    "trials": (_int, 10),
+    "seed": (_int, None),
+    "workers": (_int, None),
     "out": (str, "-"),
 }
 
 # The law parameters of the theory commands, and the two that share a grid.
-_LAW = {"q": (int, 2), "y": (float, _REQUIRED), "tau": (float, 0.0)}
+_LAW = {"q": (_int, 2), "y": (float, _REQUIRED), "tau": (float, 0.0)}
 _THEORY_CURVE = dict(_LAW, grid=(_grid, None), out=(str, "-"))
 
 
@@ -298,24 +306,24 @@ def _run_convergence(p):
 # (converter, default); _REQUIRED marks parameters with no default.
 _COMMANDS = {
     "sample-spectrum": (dict(_COMMON_RUN, q=(_q_list, (2,))), _run_sample_spectrum),
-    "figure": (dict(_COMMON_RUN, q=(int, 2)), _run_figure),
+    "figure": (dict(_COMMON_RUN, q=(_int, 2)), _run_figure),
     "theory-density": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.density_ell, "density")),
     "theory-cdf": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.cdf_ell, "cdf")),
-    "theory-sample": (dict(_LAW, n=(int, 10000), seed=(int, None), out=(str, "-")), _run_theory_sample),
-    "theory-mean": (dict(_LAW, N=(int, None), out=(str, "-")), _run_theory_mean),
+    "theory-sample": (dict(_LAW, n=(_int, 10000), seed=(_int, None), out=(str, "-")), _run_theory_sample),
+    "theory-mean": (dict(_LAW, N=(_int, None), out=(str, "-")), _run_theory_mean),
     "compare": (
         {
             "ensemble": (str, "elliptic"),
-            "N": (int, _REQUIRED),
+            "N": (_int, _REQUIRED),
             "tau": _COMMON_RUN["tau"],
-            "trials": (int, _REQUIRED),
-            "q": (int, 2),
+            "trials": (_int, _REQUIRED),
+            "q": (_int, 2),
             "y": (float, 0.5),
             "relwidth": (float, 0.1),
             "xwindow": (float, 0.5),
             "threshold": (float, 0.06),
-            "seed": (int, None),
-            "workers": (int, None),
+            "seed": (_int, None),
+            "workers": (_int, None),
             "out": (str, "-"),
         },
         _run_compare,
@@ -325,9 +333,9 @@ _COMMANDS = {
             _LAW,
             y=(float, 0.5),
             N_list=(_int_list, [256, 1024, 4096]),
-            trials=(int, 1000),
+            trials=(_int, 1000),
             st=(_pair, None),
-            seed=(int, None),
+            seed=(_int, None),
             out=(str, "-"),
         ),
         _run_convergence,

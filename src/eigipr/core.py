@@ -9,6 +9,7 @@ coordinate vector (pure localization); ``q = 2`` gives the rescaled kurtosis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,29 @@ class EigRecord:
     is_real_eig: bool
     ipr: dict[int, float] = field(default_factory=dict)
     residual: float = 0.0
+
+
+def _count(what, value, low=-math.inf, high=math.inf):
+    """``value`` as an int: the one rule for every count, order, dimension and seed argument.
+
+    A count is an int, a numpy integer or a float with a whole value, in
+    ``[low, high]``; anything else (a bool, NaN, an infinity, 2.5) raises
+    `ValueError`.  The range is checked first, so a value outside it, NaN
+    too, gets ``"<what> must be >= <low>, got <value>"`` (or ``in [<low>,
+    <high>]``).  An int is never converted to float, which could overflow.
+    """
+    if type(value) is int and low <= value <= high:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if isinstance(value, numbers.Integral):  # a numpy integer, compared exactly as an int
+        value = int(value)
+    if not low <= value <= high:
+        bound = f"in [{low}, {high}]" if high < math.inf else f">= {low}" if low > -math.inf else "a number"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _int_column(values):
@@ -103,8 +127,9 @@ class Records:
     @classmethod
     def _from_columns(cls, trial, idx, re, im, is_real, iprs, residual, orders):
         """The table of per-column sequences, ``iprs`` holding one sequence per order in ``orders``."""
+        orders = [_count("IPR order", q, 1) for q in orders]
         _ascending_orders(orders)
-        ipr = sorted(zip(map(int, orders), iprs), key=lambda qc: qc[0])
+        ipr = sorted(zip(orders, iprs), key=lambda qc: qc[0])
         return cls(
             trial=_int_column(trial),
             idx=_int_column(idx),
@@ -188,7 +213,7 @@ def as_records(records, orders=None):
 
 def _ascending_orders(orders):
     """IPR orders as an ascending tuple of ints; `ValueError` when an order repeats."""
-    orders = tuple(sorted(int(q) for q in orders))
+    orders = tuple(sorted(_count("IPR order", q, 1) for q in orders))
     if len(set(orders)) < len(orders):
         raise ValueError(f"repeated IPR order in {orders}")
     return orders
@@ -214,9 +239,7 @@ def ipr(x, q):
         lies in ``[1, N**(q-1)]``, and has the same bits as the call on that
         row alone.
     """
-    q = int(q)
-    if q < 1:
-        raise ValueError(f"ipr order must be >= 1, got {q}")
+    q = _count("ipr order", q, 1)
     # C order whatever the caller's layout: numpy sums pairwise only along a
     # contiguous inner loop, so each row then gets the bits of a 1-D call.
     # `np.abs` returns a fresh array, which the steps below overwrite; integer
@@ -264,9 +287,7 @@ def uniform_sphere_sample(n, field, rng):
         Unit 2-norm vector; an iid standard Gaussian vector over the given
         field, normalized.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {n}")
+    n = _count("sphere dimension", n, 1)
     if field == "real":
         v = rng.standard_normal(n)
     elif field == "complex":
@@ -278,10 +299,7 @@ def uniform_sphere_sample(n, field, rng):
 
 def factorial(q):
     """Exact integer ``q!`` for ``q >= 0``."""
-    q = int(q)
-    if q < 0:
-        raise ValueError(f"factorial of negative order {q}")
-    return math.factorial(q)
+    return math.factorial(_count("factorial order", q, 0))
 
 
 def double_factorial_odd(q):
@@ -290,7 +308,4 @@ def double_factorial_odd(q):
     This is the ``2q``-th moment of a standard real Gaussian and the
     real-sphere IPR limit of order ``q``.
     """
-    q = int(q)
-    if q < 0:
-        raise ValueError(f"double factorial of negative order {q}")
-    return math.prod(range(1, 2 * q, 2))
+    return math.prod(range(1, 2 * _count("double factorial order", q, 0), 2))

@@ -22,10 +22,11 @@ matrices.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .core import _count
 
 __all__ = [
     "KINDS",
@@ -56,19 +57,14 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def _count(what, value, low):
-    """``value`` as an int; `ValueError` unless it is a whole number (not NaN or inf) >= ``low``.
-
-    An `int` is never converted to float, which a large one would overflow.
-    """
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()) or not value >= low:
-        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def _check_theta(theta):
     if not 0.0 < theta < math.inf:
         raise ValueError(f"Ewens parameter theta must be finite and > 0, got {theta}")
+
+
+def _check_tau(tau):
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,7 @@ class EnsembleSpec:
         object.__setattr__(self, "N", _count("matrix dimension", self.N, 2))
         object.__setattr__(self, "nu", _count("charge parameter nu", self.nu, 0))
         object.__setattr__(self, "d", _count("summand count d", self.d, 1))
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        _check_tau(self.tau)
         _check_theta(self.theta)
         for f in fields(self)[2:]:  # the fields past kind and N
             value = getattr(self, f.name)
@@ -125,8 +120,7 @@ def sample_elliptic(n, tau, rng):
     rng : numpy.random.Generator
     """
     n = _count("matrix dimension", n, 2)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
+    _check_tau(tau)
     root2 = math.sqrt(2.0)
     m1 = rng.standard_normal((n, n))
     m1 = m1 + m1.T  # the rebinding frees the draw
@@ -170,7 +164,7 @@ def sample_haar_orthogonal(n, rng, size=None):
         shape ``(size, n, n)``.
     """
     n = _count("matrix dimension", n, 1)
-    shape = (n, n) if size is None else (int(size), n, n)
+    shape = (n, n) if size is None else (_count("size", size, 0), n, n)
     q, r = np.linalg.qr(rng.standard_normal(shape))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0.0] = 1.0

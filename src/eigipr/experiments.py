@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensembles, schur, theory
-from .core import Records, _ascending_orders, as_records, ipr
+from .core import Records, _ascending_orders, _count, as_records, ipr
 
 __all__ = [
     "EmpiricalDist",
@@ -131,23 +131,20 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _count("trials", self.trials, 1))
         if not set(self.q_set) <= VALID_ORDERS:
             raise ValueError(f"q_set must be a subset of {sorted(VALID_ORDERS)}, got {self.q_set}")
         if not self.q_set:
             raise ValueError("q_set must not be empty")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, 2**64 - 1))
         _check_bin(self.y_center, self.rel_width, self.x_window)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        object.__setattr__(self, "workers", _count("workers", self.workers, 1))
         object.__setattr__(self, "q_set", _ascending_orders(self.q_set))
 
 
 def trial_rng(seed, trial):
     """Independent per-trial generator derived from ``(seed, trial_index)``."""
-    return np.random.default_rng([int(seed), int(trial)])
+    return np.random.default_rng([_count("seed", seed, 0), _count("trial index", trial, 0)])
 
 
 def eig_right(mat):
@@ -391,12 +388,10 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     drawn in blocks of ``max(1, _BLOCK_ENTRIES // N)`` rows, with the generator
     consumed and each IPR computed bit for bit as one vector at a time.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_count("matrix dimension N", n, 2) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be ascending")
-    trials = int(trials)
-    if trials < 2:
-        raise ValueError(f"convergence_study needs trials >= 2 for a spread, got {trials}")
+    trials = _count("convergence_study needs trials >= 2 for a spread; trials", trials, 2)
     # The exact means first: they validate q and (y, tau) or (s, t) before
     # any vector is sampled, so the fixed-amplitude blocks are assembled
     # from Gram-Schmidt pairs without a second check.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import double_factorial_odd, factorial
+from .core import _count, double_factorial_odd, factorial
 
 __all__ = ["MAX_ORDER", "g", "g_inverse", "legendre_eval", "phi"]
 
@@ -43,9 +43,7 @@ def legendre_eval(q, x):
         ``L_q(x)`` with the shape of ``x``, satisfying the generating-function
         identity ``sum_q L_q(x) z**q = (1 - 2 x z + z**2)**(-1/2)``.
     """
-    q = int(q)
-    if q < 0:
-        raise ValueError(f"Legendre order must be >= 0, got {q}")
+    q = _count("Legendre order", q, 0)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if q == 0:
@@ -57,10 +55,7 @@ def legendre_eval(q, x):
 
 
 def _check_order(q):
-    q = int(q)
-    if not 2 <= q <= MAX_ORDER:
-        raise ValueError(f"order must be in [2, {MAX_ORDER}], got {q}")
-    return q
+    return _count("order", q, 2, MAX_ORDER)
 
 
 def _scaled_terms(q, w, slope):

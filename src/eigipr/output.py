@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .core import Records, _ascending_orders, as_records, double_factorial_odd, factorial
+from .core import Records, _ascending_orders, _count, as_records, double_factorial_odd, factorial
 
 __all__ = [
     "read_records_csv",
@@ -69,7 +69,7 @@ def read_records_csv(path):
     """Parse a records CSV back into a `Records` table.
 
     The header is checked before any row is read: the five leading columns,
-    ``ipr_q<q>`` columns of distinct orders, then ``residual``.  Any other
+    ``ipr_q<q>`` columns of distinct orders ``q >= 1``, then ``residual``.  Any other
     header, and an ``is_real`` field other than ``0`` or ``1``, raises
     `ValueError` naming the file.
     """
@@ -78,7 +78,7 @@ def read_records_csv(path):
         header = next(reader, [])
         names = header[5:-1]
         orders = [int(name[5:]) for name in names if name.startswith("ipr_q") and name[5:].isdecimal()]
-        if header[:5] != _HEAD or header[-1:] != ["residual"] or len(set(orders)) < len(names):
+        if header[:5] != _HEAD or header[-1:] != ["residual"] or len(set(orders) - {0}) < len(names):
             raise ValueError(f"{path}: bad records CSV header (or a repeated IPR order): {','.join(header)}")
         # Each row parsed as it is read: no CSV text is kept.
         entries = []
@@ -138,7 +138,7 @@ def write_svg_scatter(records, q, path):
     is linear in the IPR, clipped to ``[q!, (2q-1)!!]``: the delocalized
     floor maps to dark violet, the real-axis ceiling to yellow.
     """
-    q = int(q)
+    q = _count("IPR order", q, 2)
     lo, hi = factorial(q), double_factorial_odd(q)
     if not len(records):
         raise ValueError("no records to plot")

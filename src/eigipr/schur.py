@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import theory
+from .core import _count
 
 __all__ = [
     "eigvec_from_block",
@@ -67,13 +68,6 @@ def _gram_schmidt(g):
     return o1, o2
 
 
-def _check_dim(n):
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"need dimension >= 2 for an orthonormal pair, got {n}")
-    return n
-
-
 def sample_stiefel_pair(n, rng, size=None):
     """Uniform orthonormal pair ``(O1, O2)`` in dimension ``n >= 2``.
 
@@ -84,8 +78,8 @@ def sample_stiefel_pair(n, rng, size=None):
     ``size`` sequential calls do, so row ``k`` has the bits of the ``k``-th
     of ``size`` calls without ``size``.
     """
-    n = _check_dim(n)
-    rows = 1 if size is None else int(size)
+    n = _count("orthonormal pair dimension", n, 2)
+    rows = 1 if size is None else _count("size", size, 0)
     o1, o2 = _gram_schmidt(rng.standard_normal((rows, 2, n)))
     return (o1[0], o2[0]) if size is None else (o1, o2)
 
@@ -148,9 +142,9 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
         The complex unit vector and the scale parameter ``S`` used; with
         ``size``, the ``(size, n)`` block and the ``size`` values of ``S``.
     """
-    n = _check_dim(n)
+    n = _count("orthonormal pair dimension", n, 2)
     theory._check_y_tau(y, tau)
-    u = np.empty(1 if size is None else int(size))
+    u = np.empty(1 if size is None else _count("size", size, 0))
     g = np.empty((u.size, 2, n))
     for k in range(u.size):
         u[k] = rng.random()

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import double_factorial_odd, factorial
+from .core import _count, double_factorial_odd, factorial
 from .legendre import _check_order, g, g_inverse, phi
 
 __all__ = [
@@ -76,7 +76,10 @@ def density_delta(delta, y, tau):
     v = 1.0 - tau * tau
     z_norm = math.sqrt(math.pi * v / 2.0) * float(erfcx(y * math.sqrt(2.0 / v)))
     d = np.asarray(delta, dtype=float)
-    body = d * np.exp(-np.square(d) / (2.0 * v)) / np.sqrt(np.square(d) + 4.0 * y * y)
+    # Clamped to [0, 40]: the density vanishes on d <= 0, and past 40 the Gaussian
+    # factor is an exact 0 for every tau (40**2 / 2 > 745), so nothing overflows.
+    c = np.clip(d, 0.0, 40.0)
+    body = c * np.exp(-np.square(c) / (2.0 * v)) / np.sqrt(np.square(c) + 4.0 * y * y)
     return np.where(d <= 0.0, 0.0, body / z_norm)[()]
 
 
@@ -158,7 +161,7 @@ def sample_S(y, tau, rng, size=None):
         Number of samples; a bare float is returned when omitted.
     """
     _check_y_tau(y, tau)
-    S = _S_from_uniform(rng.random(1 if size is None else size), y, tau)
+    S = _S_from_uniform(rng.random(1 if size is None else _count("size", size, 0)), y, tau)
     return float(S[0]) if size is None else S
 
 
@@ -207,13 +210,9 @@ def orthogonal_joint_moment(N, k, j):
     Equals ``(2k-1)!! (2j-1)!! / (N (N+2) ... (N + 2(k+j) - 2))`` with the
     convention ``(-1)!! = 1``.
     """
-    N = int(N)
-    k = int(k)
-    j = int(j)
-    if N < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {N}")
-    if k < 0 or j < 0:
-        raise ValueError("moment orders must be >= 0")
+    N = _count("matrix dimension", N, 2)
+    k = _count("moment order k", k, 0)
+    j = _count("moment order j", j, 0)
     num = double_factorial_odd(k) * double_factorial_odd(j)
     den = math.prod(N + 2 * i for i in range(k + j))
     return num / den
@@ -222,9 +221,9 @@ def orthogonal_joint_moment(N, k, j):
 def _finite_n_prefactor(N, q):
     # N**q / (N (N+2) ... (N + 2q - 2)), written as a product of ratios so
     # that N up to 1e9 stays exact to rounding.  The finite-N means hold for
-    # N >= 2; below it the prefactor leaves the support or divides by zero.
-    if not N >= 2:
-        raise ValueError(f"matrix dimension N must be >= 2, got {N}")
+    # whole N >= 2, or math.inf for the limit; below 2 the prefactor leaves
+    # the support or divides by zero.
+    N = N if N == math.inf else _count("matrix dimension N", N, 2)
     return math.prod(1.0 / (1.0 + 2.0 * i / N) for i in range(q))
 
 
@@ -237,9 +236,7 @@ def mean_ipr_finite_N(N, q, s, t):
     (2k-1)!! (2(q-k)-1)!!`` and increases to its ``N -> oo`` limit.
     ``N >= 2``, or ``math.inf`` for the limit.
     """
-    q = int(q)
-    if q < 1:
-        raise ValueError(f"order must be >= 1, got {q}")
+    q = _count("order", q, 1)
     if not abs(s * s + t * t - 1.0) <= 1e-10:
         raise ValueError("mixing amplitudes must satisfy s**2 + t**2 = 1")
     total = sum(

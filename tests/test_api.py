@@ -77,3 +77,41 @@ def test_readme_tour_names_every_public_name(name):
     named = set(re.findall(r"`([^`]+)`", row))
     module = importlib.import_module(f"eigipr.{name}")
     assert [attr for attr in module.__all__ if attr not in named] == []
+
+
+SRC = Path(eigipr.__file__).parent
+
+
+def _int_of_own_parameter(tree):
+    """``module.function`` names of the functions and lambdas in ``tree`` that call ``int(p)`` on a parameter ``p``.
+
+    ``int(text, 10)`` is not counted: with a base, `int` parses text and cannot truncate.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "int"
+                and len(call.args) == 1
+                and not call.keywords
+                and getattr(call.args[0], "id", None) in params
+            ):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_counts_checked_only_by_core_count(name):
+    # core._count is the one rule for whole-number arguments; a local int(x) would truncate 2.5 to 2.
+    found = _int_of_own_parameter(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")))
+    assert set(found) == ({"_count"} if name == "core" else set())
+
+
+def test_int_guard_sees_a_truncation():
+    tree = ast.parse("def f(n, *, q):\n    return int(n), int(str(q)), int(q, 10)\ng = lambda m: int(m)\n")
+    assert _int_of_own_parameter(tree) == ["f", "<lambda>"]

@@ -560,6 +560,44 @@ class TestUsageAndSeeds:
         cfg = json.loads(err.strip().splitlines()[0])
         assert isinstance(cfg["params"]["seed"], int)
 
+    @pytest.mark.parametrize(
+        "command,base,key,value",
+        [
+            ("sample-spectrum", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "N", 8.7),
+            ("sample-spectrum", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "trials", 2.9),
+            ("sample-spectrum", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "q", [2.5]),
+            ("sample-spectrum", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "seed", 1.5),
+            ("sample-spectrum", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "workers", True),
+            ("sample-spectrum", {"ensemble": "orthogonal-sum", "N": 8, "trials": 2, "seed": 1}, "d", 2.5),
+            ("figure", {"ensemble": "elliptic", "N": 8, "trials": 2, "seed": 1}, "q", 2.5),
+            ("theory-density", {"y": 1.0}, "grid", [0.0, 2.0, 3.5]),
+            ("theory-sample", {"y": 1.0, "seed": 1}, "n", 10.5),
+            ("theory-mean", {"y": 1.0}, "N", 64.5),
+            ("compare", {"N": 20, "trials": 2, "seed": 1}, "N", float("inf")),
+            ("convergence", {"trials": 4, "seed": 1}, "N_list", [8.5]),
+        ],
+    )
+    def test_fractional_config_count_is_usage_error(self, command, base, key, value, tmp_path, capsys):
+        # A number from a config file that is not a whole number is refused, never truncated.
+        cfg_file, out = tmp_path / "c.json", tmp_path / "o"
+        cfg_file.write_text(json.dumps(dict(base, **{key: value}, out=str(out))))
+        code, stdout, err = run_cli([command, "--config", str(cfg_file)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"usage error: bad value for --{key.replace('_', '-')}: ")
+        assert not out.exists()
+
+    def test_whole_float_config_count_runs_as_the_int(self, tmp_path, capsys):
+        outs = []
+        for n, seed in [(8, 1), (8.0, 1.0)]:
+            cfg_file, out = tmp_path / "c.json", tmp_path / f"o{n}"
+            cfg_file.write_text(json.dumps({"ensemble": "elliptic", "N": n, "trials": 2, "seed": seed, "out": str(out)}))
+            code, _, err = run_cli(["sample-spectrum", "--config", str(cfg_file)], capsys)
+            assert code == 0
+            params = json.loads(err.splitlines()[0])["params"]
+            assert (params["N"], params["seed"]) == (8, 1) and type(params["N"]) is int
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({"y": 0.5, "q": 2}))

@@ -1,7 +1,35 @@
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 
-from eigipr import double_factorial_odd, factorial, ipr, uniform_sphere_sample
+from eigipr import (
+    EnsembleSpec,
+    Records,
+    RunConfig,
+    convergence_study,
+    density_ell,
+    double_factorial_odd,
+    factorial,
+    g,
+    g_inverse,
+    ipr,
+    legendre_eval,
+    mean_ipr_depletion_finite_N,
+    mean_ipr_finite_N,
+    orthogonal_joint_moment,
+    sample_ell,
+    sample_haar_orthogonal,
+    sample_stiefel_pair,
+    synthetic_eigvec_sample,
+    trial_rng,
+    uniform_sphere_sample,
+)
+from eigipr import cli
+from eigipr.core import _count
+from eigipr.output import write_records_csv, write_svg_scatter
 
 
 class TestIpr:
@@ -182,3 +210,123 @@ class TestFactorials:
             factorial(-1)
         with pytest.raises(ValueError):
             double_factorial_odd(-2)
+
+
+# Every argument that must be a count, as a call of the value alone.  Each
+# sampler gets a fresh generator, and the SVG writer prints to a buffer.
+def _rng():
+    return np.random.default_rng(5)
+
+
+def _svg(q):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_svg_scatter(_TABLE, q, "-")
+    return buf.getvalue()
+
+
+def _records_csv(q):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_records_csv(_TABLE, "-", q_set=(q,))
+    return buf.getvalue()
+
+
+_TABLE = Records.from_entries([(0, 0, 0.1, 0.2, False, 1.5, 1e-15), (0, 1, -0.3, 0.0, True, 9.0, 1e-15)], (3,))
+_SPEC = EnsembleSpec(kind="elliptic_real", N=4)
+_VEC = np.linspace(0.5, -1.0, 7)
+
+COUNT_ARGS = {
+    "core.ipr q": lambda v: ipr(_VEC, v),
+    "core.uniform_sphere_sample n": lambda v: uniform_sphere_sample(v, "real", _rng()),
+    "core.factorial": factorial,
+    "core.double_factorial_odd": double_factorial_odd,
+    "legendre.legendre_eval q": lambda v: legendre_eval(v, 0.3),
+    "legendre.g q": lambda v: g(v, 1.5),
+    "legendre.g_inverse q": lambda v: g_inverse(v, 7.0),
+    "theory.density_ell q": lambda v: density_ell(v, 7.0, 0.5, 0.0),
+    "theory.sample_ell size": lambda v: sample_ell(2, 0.5, 0.0, _rng(), size=v),
+    "theory.orthogonal_joint_moment N": lambda v: orthogonal_joint_moment(v, 1, 2),
+    "theory.orthogonal_joint_moment k": lambda v: orthogonal_joint_moment(4, v, 1),
+    "theory.orthogonal_joint_moment j": lambda v: orthogonal_joint_moment(4, 1, v),
+    "theory.mean_ipr_finite_N q": lambda v: mean_ipr_finite_N(16, v, 0.6, 0.8),
+    "theory.mean_ipr_finite_N N": lambda v: mean_ipr_finite_N(v, 2, 0.6, 0.8),
+    "theory.mean_ipr_depletion_finite_N N": lambda v: mean_ipr_depletion_finite_N(v, 2, 0.5, 0.0),
+    "schur.sample_stiefel_pair n": lambda v: sample_stiefel_pair(v, _rng()),
+    "schur.sample_stiefel_pair size": lambda v: sample_stiefel_pair(4, _rng(), size=v),
+    "schur.synthetic_eigvec_sample n": lambda v: synthetic_eigvec_sample(v, 0.5, 0.0, _rng()),
+    "schur.synthetic_eigvec_sample size": lambda v: synthetic_eigvec_sample(4, 0.5, 0.0, _rng(), size=v),
+    "ensembles.sample_haar_orthogonal size": lambda v: sample_haar_orthogonal(4, _rng(), size=v),
+    "ensembles.EnsembleSpec N": lambda v: EnsembleSpec(kind="elliptic_real", N=v),
+    "experiments.RunConfig trials": lambda v: RunConfig(spec=_SPEC, trials=v),
+    "experiments.RunConfig workers": lambda v: RunConfig(spec=_SPEC, trials=2, workers=v),
+    "experiments.RunConfig seed": lambda v: RunConfig(spec=_SPEC, trials=2, seed=v),
+    "experiments.trial_rng seed": lambda v: trial_rng(v, 5),
+    "experiments.trial_rng trial": lambda v: trial_rng(5, v),
+    "experiments.convergence_study n_list": lambda v: convergence_study(2, 0.5, 0.0, [v], 4, _rng()),
+    "experiments.convergence_study trials": lambda v: convergence_study(2, 0.5, 0.0, [8], v, _rng()),
+    "output.write_svg_scatter q": _svg,
+    "output.write_records_csv q_set": _records_csv,
+    "cli int parameter": cli._int,
+    "cli q list": lambda v: cli._q_list([v]),
+    "cli N list": lambda v: cli._int_list([v]),
+    "cli grid point count": lambda v: cli._grid([0.0, 1.0, v]),
+}
+
+# Arguments that take math.inf as the N -> oo limit.
+INF_IS_LIMIT = {"theory.mean_ipr_finite_N N", "theory.mean_ipr_depletion_finite_N N"}
+
+
+def _canon(x):
+    """``x`` in a form whose ``==`` compares bits and types: arrays by bytes, floats by hex, generators by a draw."""
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return (type(x).__name__, x.hex())
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, *map(_canon, x))
+    if isinstance(x, dict):
+        return ("dict", *((k, _canon(v)) for k, v in sorted(x.items())))
+    if isinstance(x, np.random.Generator):
+        return ("generator", x.random(4).tobytes())
+    return (type(x).__name__, repr(x))
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, True, np.True_], ids=repr)
+    @pytest.mark.parametrize("site", COUNT_ARGS)
+    def test_refused(self, site, bad):
+        if bad == math.inf and site in INF_IS_LIMIT:
+            assert math.isfinite(COUNT_ARGS[site](bad))
+            return
+        with pytest.raises(ValueError):
+            COUNT_ARGS[site](bad)
+
+    @pytest.mark.parametrize("same", [3.0, np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("site", COUNT_ARGS)
+    def test_whole_values_as_the_int(self, site, same):
+        assert _canon(COUNT_ARGS[site](same)) == _canon(COUNT_ARGS[site](3))
+
+    @pytest.mark.parametrize("value", [True, np.True_, np.bool_(False), 2.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_count_rule(self, value):
+        with pytest.raises(ValueError):
+            _count("count", value, 0)
+
+    def test_message_names_the_floor_first(self):
+        # Below the floor (NaN too) the message names the floor, even for a fractional value.
+        for value, shown in [(0, "0"), (1.5, "1.5"), (math.nan, "nan"), (np.int64(-3), "-3")]:
+            with pytest.raises(ValueError, match=f"^N must be >= 2, got {shown}$"):
+                _count("N", value, 2)
+        with pytest.raises(ValueError, match=r"^order must be in \[2, 30\], got 31$"):
+            _count("order", 31, 2, 30)
+        with pytest.raises(ValueError, match="^N must be a whole number, got 2.5$"):
+            _count("N", 2.5, 2)
+        with pytest.raises(ValueError, match="^value must be a number, got nan$"):
+            _count("value", math.nan)
+
+    def test_returns_int(self):
+        for value in [3, 3.0, np.int64(3), np.uint64(3), np.float32(3.0)]:
+            assert type(_count("count", value, 0)) is int and _count("count", value, 0) == 3
+        big = 2**64 - 1
+        assert _count("seed", big, 0, big) == big and _count("seed", np.uint64(big), 0, big) == big
+        assert _count("seed", 10**30, 0) == 10**30  # never through float

@@ -105,6 +105,7 @@ class TestRecordsCsv:
             "trial,idx,re_lambda,im_lambda,is_real,ipr_q2",  # no residual
             "trial,idx,re_lambda,im_lambda,is_real",
             "trial,idx,re_lambda,im_lambda,is_real,ipr_q2,ipr_q2,ipr_q3,residual",  # repeated order
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q0,residual",  # no IPR of order 0
         ],
     )
     def test_bad_header_rejected_before_rows(self, header, tmp_path):

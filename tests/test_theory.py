@@ -70,6 +70,14 @@ class TestDensityDelta:
         unnorm = d * math.exp(-d * d / 2) / math.sqrt(d * d + 4)
         assert density_delta(d, 1.0, 0.0) == pytest.approx(unnorm / z_closed, rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.999])
+    def test_infinite_and_huge_points(self, tau):
+        # The suite turns a RuntimeWarning into an error, so this also checks that nothing warns.
+        got = density_delta(np.array([np.inf, -np.inf, 1e200, -1e200, 1e155, 40.0, np.nan]), 1.0, tau)
+        assert got[:6].tolist() == [0.0] * 6 and not np.signbit(got[:6]).any()
+        assert np.isnan(got[6])
+        assert density_delta(np.inf, 1.0, tau) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             density_delta(1.0, 0.0, 0.0)
