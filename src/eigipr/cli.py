@@ -77,7 +77,7 @@ def _pair(value):
     return float(a), float(b)
 
 
-# The parameters of the matrix commands sample-spectrum and figure, with each EnsembleSpec field's own default.
+# The parameters of the matrix commands, with each EnsembleSpec field's own default; compare takes those of its kinds.
 _COMMON_RUN = {
     "ensemble": (str, _REQUIRED),
     "N": (_int, _REQUIRED),
@@ -104,7 +104,8 @@ def _build_parser():
     parser = _Parser(prog="eigipr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (params, _) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        # No prefix stands for a longer flag: --n is not --nu, nor --th --theta.
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="JSON file with parameter values")
         for key in params:
             p.add_argument(_flag(key), dest=key, default=None, type=str)
@@ -175,23 +176,14 @@ def _resolve(command, args):
     return params
 
 
-# Parameters that set a RunConfig bin field (name -> field), besides those named
-# after an EnsembleSpec field; a field that no parameter sets keeps its default.
-_BIN_FIELDS = {"y": "y_center", "relwidth": "rel_width", "xwindow": "x_window"}
-
-
-def _make_run_config(p, q_set):
+def _make_run_config(p, q_set, **bin_fields):
+    """The `RunConfig` of a matrix command's parameters; a spec or bin field they do not set keeps its default."""
     spec = ensembles.EnsembleSpec(
         kind=_ENSEMBLE_ALIASES.get(p["ensemble"], p["ensemble"]),
-        **{f.name: p[f.name] for f in dataclasses.fields(ensembles.EnsembleSpec) if f.name in p},
+        **{f.name: p.get(f.name, f.default) for f in dataclasses.fields(ensembles.EnsembleSpec)[1:]},
     )
     return experiments.RunConfig(
-        spec=spec,
-        trials=p["trials"],
-        q_set=q_set,
-        seed=p["seed"],
-        workers=p["workers"],
-        **{field: p[key] for key, field in _BIN_FIELDS.items() if key in p},
+        spec=spec, trials=p["trials"], q_set=q_set, seed=p["seed"], workers=p["workers"], **bin_fields
     )
 
 
@@ -247,7 +239,7 @@ def _run_theory_mean(p):
 
 
 def _run_compare(p):
-    config = _make_run_config(p, (p["q"],))
+    config = _make_run_config(p, (p["q"],), y_center=p["y"], rel_width=p["relwidth"], x_window=p["xwindow"])
     # At tau = 1 the matrix is symmetric: no eigenvalue is off the real axis,
     # and the limit law is undefined.  Refuse before any matrix is sampled.
     if not p["tau"] < 1.0:
@@ -311,21 +303,18 @@ _COMMANDS = {
     "theory-cdf": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.cdf_ell, "cdf")),
     "theory-sample": (dict(_LAW, n=(_int, 10000), seed=(_int, None), out=(str, "-")), _run_theory_sample),
     "theory-mean": (dict(_LAW, N=(_int, None), out=(str, "-")), _run_theory_mean),
+    # compare's kinds read no spec field but tau, so it takes no --nu, --d or --theta.
     "compare": (
-        {
-            "ensemble": (str, "elliptic"),
-            "N": (_int, _REQUIRED),
-            "tau": _COMMON_RUN["tau"],
-            "trials": (_int, _REQUIRED),
-            "q": (_int, 2),
-            "y": (float, 0.5),
-            "relwidth": (float, 0.1),
-            "xwindow": (float, 0.5),
-            "threshold": (float, 0.06),
-            "seed": (_int, None),
-            "workers": (_int, None),
-            "out": (str, "-"),
-        },
+        dict(
+            {key: value for key, value in _COMMON_RUN.items() if key not in ("nu", "d", "theta")},
+            ensemble=(str, "elliptic"),
+            trials=(_int, _REQUIRED),
+            q=(_int, 2),
+            y=(float, 0.5),
+            relwidth=(float, 0.1),
+            xwindow=(float, 0.5),
+            threshold=(float, 0.06),
+        ),
         _run_compare,
     ),
     "convergence": (

@@ -146,10 +146,15 @@ class Records:
 
         Each tuple holds one IPR value per order in ``orders``, in that order;
         the table keeps the IPR columns in ascending order whatever the order
-        given.  A repeated order raises `ValueError`.
+        given.  A repeated order, and an entry that does not hold
+        ``6 + len(orders)`` fields, raise `ValueError`.
         """
         orders = list(orders)
-        trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * (len(orders) + 6)
+        entries = list(entries)
+        width = 6 + len(orders)
+        if any(len(entry) != width for entry in entries):
+            raise ValueError(f"every entry must hold {width} fields, with one IPR per order in {tuple(orders)}")
+        trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * width
         return cls._from_columns(trial, idx, re, im, is_real, iprs, residual, orders)
 
     @classmethod

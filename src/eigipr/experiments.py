@@ -349,9 +349,11 @@ def conditional_ipr(records, q, y_center, rel_width, x_window, n_dim):
     Keeps complex records with ``sqrt(N) * Im lam`` inside
     ``[y_center (1 - rel_width), y_center (1 + rel_width)]`` and
     ``|Re lam| <= x_window``.  Raises `ValueError` for a bin `RunConfig`
-    would reject, and `InsufficientDataError` below 100 selected samples.
+    would reject or an ``n_dim`` that is not a whole number >= 2, and
+    `InsufficientDataError` below 100 selected samples.
     """
     _check_bin(y_center, rel_width, x_window)
+    n_dim = _count("matrix dimension", n_dim, 2)
     table = as_records(records, (q,))
     lo = y_center * (1.0 - rel_width)
     hi = y_center * (1.0 + rel_width)

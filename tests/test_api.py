@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import eigipr
+from eigipr import cli
 
 MODULES = ["cli", "core", "ensembles", "experiments", "legendre", "output", "schur", "theory"]
 
@@ -115,3 +116,12 @@ def test_counts_checked_only_by_core_count(name):
 def test_int_guard_sees_a_truncation():
     tree = ast.parse("def f(n, *, q):\n    return int(n), int(str(q)), int(q, 10)\ng = lambda m: int(m)\n")
     assert _int_of_own_parameter(tree) == ["f", "<lambda>"]
+
+
+@pytest.mark.parametrize("command", ["sample-spectrum", "figure"])
+def test_matrix_commands_take_every_spec_field(command):
+    # One flag per EnsembleSpec field after kind, with the spec's default, so a new field reaches every matrix command.
+    schema, _ = cli._COMMANDS[command]
+    fields = dataclasses.fields(eigipr.EnsembleSpec)
+    assert [f.name for f in fields[1:] if f.name not in schema] == []
+    assert {f.name: schema[f.name][1] for f in fields[2:]} == {f.name: f.default for f in fields[2:]}

@@ -493,6 +493,26 @@ class TestUsageAndSeeds:
         assert code == 1 and out == ""
         assert err.startswith("usage error")
 
+    @pytest.mark.parametrize(
+        "args, prefix",
+        [
+            (["sample-spectrum", "--ensemble", "induced", "--N", "6", "--n", "3"], "--n"),
+            (["figure", "--ensemble", "permutation-sum", "--N", "6", "--d", "2", "--th", "2"], "--th"),
+            (["compare", "--N", "60", "--thr", "0.5"], "--thr"),
+        ],
+    )
+    def test_prefix_of_a_flag_is_refused(self, args, prefix, tmp_path, capsys, monkeypatch):
+        # A flag matches only by its whole name: --n is not --nu, nor --th --theta.
+        import eigipr.experiments as exp
+
+        trials = []
+        monkeypatch.setattr(exp, "_run_trial", lambda c, t: trials.append(t))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli([*args, "--trials", "2", "--seed", "1", "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"usage error: unrecognized arguments: {prefix}")
+        assert trials == [] and not out.exists()
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -620,6 +640,37 @@ class TestUsageAndSeeds:
         "compare": ["--N", "60", "--trials", "80", "--relwidth", "0.6", "--xwindow", "0.9", "--seed", "1"],
         "convergence": ["--N-list", "8", "--trials", "10"],
     }
+
+    # Values for the optional parameters whose default is None.
+    UNSET = {"grid": "-1:3:3", "st": "-0.6,0.8", "N": "64"}
+
+    @pytest.mark.parametrize("command", REPLAYED)
+    def test_split_and_joined_flags_resolve_alike(self, command, capsys, monkeypatch):
+        # Every flag of the command, once as "--flag value" and once as "--flag=value".
+        from eigipr import cli
+
+        monkeypatch.setitem(cli._COMMANDS, command, (cli._COMMANDS[command][0], lambda p: 0))
+        monkeypatch.setenv("IPR_RMT_SEED", "7")
+        code, _, err = run_cli([command, *self.REPLAYED[command]], capsys)
+        assert code == 0
+        params = json.loads(err.splitlines()[0])["params"]
+        texts = {
+            key: self.UNSET[key] if value is None
+            else ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            for key, value in params.items()
+        }
+        echoes = []
+        for argv in (
+            [part for key, text in texts.items() for part in (cli._flag(key), text)],
+            [f"{cli._flag(key)}={text}" for key, text in texts.items()],
+        ):
+            code, _, err = run_cli([command, *argv], capsys)
+            assert code == 0, err
+            echoes.append(json.loads(err.splitlines()[0])["params"])
+        assert echoes[0] == echoes[1]
+        assert {k: v for k, v in echoes[0].items() if params[k] is not None} == {
+            k: v for k, v in params.items() if v is not None
+        }
 
     def test_every_command_replayed(self):
         from eigipr import cli

@@ -9,6 +9,7 @@ from eigipr import (
     EnsembleSpec,
     Records,
     RunConfig,
+    conditional_ipr,
     convergence_study,
     density_ell,
     double_factorial_odd,
@@ -233,6 +234,8 @@ def _records_csv(q):
 
 
 _TABLE = Records.from_entries([(0, 0, 0.1, 0.2, False, 1.5, 1e-15), (0, 1, -0.3, 0.0, True, 9.0, 1e-15)], (3,))
+# 100 complex entries at scaled height 0.5 when N = 3.
+_BAND = Records.from_entries([(0, k, 0.0, 0.5 / math.sqrt(3), False, 6.0 + k, 1e-15) for k in range(100)], (3,))
 _SPEC = EnsembleSpec(kind="elliptic_real", N=4)
 _VEC = np.linspace(0.5, -1.0, 7)
 
@@ -263,6 +266,7 @@ COUNT_ARGS = {
     "experiments.RunConfig seed": lambda v: RunConfig(spec=_SPEC, trials=2, seed=v),
     "experiments.trial_rng seed": lambda v: trial_rng(v, 5),
     "experiments.trial_rng trial": lambda v: trial_rng(5, v),
+    "experiments.conditional_ipr n_dim": lambda v: conditional_ipr(_BAND, 3, 0.5, 0.1, 0.5, v),
     "experiments.convergence_study n_list": lambda v: convergence_study(2, 0.5, 0.0, [v], 4, _rng()),
     "experiments.convergence_study trials": lambda v: convergence_study(2, 0.5, 0.0, [8], v, _rng()),
     "output.write_svg_scatter q": _svg,
