@@ -28,15 +28,6 @@ __all__ = ["main"]
 
 _REQUIRED = object()
 
-_ENSEMBLE_ALIASES = {
-    "elliptic": "elliptic_real",
-    "ginibre-real": "ginibre_real",
-    "ginibre-complex": "ginibre_complex",
-    "induced": "induced_ginibre",
-    "orthogonal-sum": "orthogonal_sum",
-    "permutation-sum": "permutation_sum",
-}
-
 
 class UsageError(Exception):
     pass
@@ -72,24 +63,33 @@ def _grid(value):
     return lo, hi, n
 
 
+def _seed(value):
+    """A seed: a whole number in the range `RunConfig` accepts, whichever command takes it."""
+    return _count("seed", _int(value), 0, experiments._MAX_SEED)
+
+
 def _pair(value):
     a, b = _split(value, ",")
     return float(a), float(b)
 
 
+_SPEC_FIELDS = dataclasses.fields(ensembles.EnsembleSpec)[2:]  # the fields past kind and N
 # The parameters of the matrix commands, with each EnsembleSpec field's own default; compare takes those of its kinds.
 _COMMON_RUN = {
     "ensemble": (str, _REQUIRED),
     "N": (_int, _REQUIRED),
-    **{
-        f.name: (_int if type(f.default) is int else type(f.default), f.default)
-        for f in dataclasses.fields(ensembles.EnsembleSpec)[2:]
-    },
+    **{f.name: (_int if type(f.default) is int else type(f.default), f.default) for f in _SPEC_FIELDS},
     "trials": (_int, 10),
-    "seed": (_int, None),
+    "seed": (_seed, None),
     "workers": (_int, None),
     "out": (str, "-"),
 }
+
+# From the kind table: each command-line name's kind, and the kinds (kind -> name) that compare's elliptic law
+# applies to.  compare takes no flag for a spec field that none of those kinds reads.
+_KIND_OF_NAME = {name: kind for kind, (name, *_) in ensembles._KINDS.items()}
+_COMPARED = {kind: name for kind, (name, *_, elliptic) in ensembles._KINDS.items() if elliptic}
+_NOT_COMPARED = {f.name for f in _SPEC_FIELDS}.difference(*(ensembles._KINDS[kind][2] for kind in _COMPARED))
 
 # The law parameters of the theory commands, and the two that share a grid.
 _LAW = {"q": (_int, 2), "y": (float, _REQUIRED), "tau": (float, 0.0)}
@@ -168,7 +168,7 @@ def _resolve(command, args):
     if "seed" in schema and params.get("seed") is None:
         env = os.environ.get("IPR_RMT_SEED")
         try:
-            params["seed"] = int(env) if env else int.from_bytes(os.urandom(8), "little")
+            params["seed"] = _seed(env) if env else int.from_bytes(os.urandom(8), "little")
         except ValueError as exc:
             raise UsageError(f"bad value for IPR_RMT_SEED: {exc}")
     if "workers" in schema and params.get("workers") is None:
@@ -179,7 +179,7 @@ def _resolve(command, args):
 def _make_run_config(p, q_set, **bin_fields):
     """The `RunConfig` of a matrix command's parameters; a spec or bin field they do not set keeps its default."""
     spec = ensembles.EnsembleSpec(
-        kind=_ENSEMBLE_ALIASES.get(p["ensemble"], p["ensemble"]),
+        kind=_KIND_OF_NAME.get(p["ensemble"], p["ensemble"]),
         **{f.name: p.get(f.name, f.default) for f in dataclasses.fields(ensembles.EnsembleSpec)[1:]},
     )
     return experiments.RunConfig(
@@ -247,14 +247,14 @@ def _run_compare(p):
     # A KS distance lies in [0, 1]: a threshold outside (0, 1] passes or fails every run.
     if not 0.0 < p["threshold"] <= 1.0:
         raise ValueError(f"compare needs a threshold in (0, 1], got {p['threshold']}")
-    # The law tested is the elliptic one at the raw y and tau.  Real Ginibre
-    # is its tau = 0 case (its spec refuses any other tau); the other kinds
-    # need the local density of ROADMAP item 4 first.
-    if config.spec.kind not in ("elliptic_real", "ginibre_real"):
+    # The law tested is the elliptic one at the raw y and tau, which the kind
+    # table marks; the other kinds need the local density of ROADMAP item 4 first.
+    if config.spec.kind not in _COMPARED:
         raise ValueError(
-            f"compare tests the elliptic law, which does not apply to {p['ensemble']}; "
-            "only elliptic, and ginibre-real at tau 0, until ROADMAP item 4 (local universality) lands"
+            f"compare tests the elliptic law, which does not apply to {p['ensemble']}; it takes "
+            f"{' or '.join(_COMPARED.values())} until ROADMAP item 4 (local universality) lands"
         )
+    theory._check_y_tau(p["y"], p["tau"])  # the law's own domain, before any matrix is sampled
     records = experiments.spectrum_ipr_map(config)
     dist = experiments.conditional_ipr(
         records, p["q"], p["y"], p["relwidth"], p["xwindow"], config.spec.N
@@ -301,12 +301,11 @@ _COMMANDS = {
     "figure": (dict(_COMMON_RUN, q=(_int, 2)), _run_figure),
     "theory-density": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.density_ell, "density")),
     "theory-cdf": (_THEORY_CURVE, functools.partial(_run_theory_curve, theory.cdf_ell, "cdf")),
-    "theory-sample": (dict(_LAW, n=(_int, 10000), seed=(_int, None), out=(str, "-")), _run_theory_sample),
+    "theory-sample": (dict(_LAW, n=(_int, 10000), seed=(_seed, None), out=(str, "-")), _run_theory_sample),
     "theory-mean": (dict(_LAW, N=(_int, None), out=(str, "-")), _run_theory_mean),
-    # compare's kinds read no spec field but tau, so it takes no --nu, --d or --theta.
     "compare": (
         dict(
-            {key: value for key, value in _COMMON_RUN.items() if key not in ("nu", "d", "theta")},
+            {key: value for key, value in _COMMON_RUN.items() if key not in _NOT_COMPARED},
             ensemble=(str, "elliptic"),
             trials=(_int, _REQUIRED),
             q=(_int, 2),
@@ -324,7 +323,7 @@ _COMMANDS = {
             N_list=(_int_list, [256, 1024, 4096]),
             trials=(_int, 1000),
             st=(_pair, None),
-            seed=(_int, None),
+            seed=(_seed, None),
             out=(str, "-"),
         ),
         _run_convergence,

@@ -91,9 +91,11 @@ _ROW_CHUNK = 1024
 class Records:
     """Eigenvalue records as numpy columns, one entry per eigenvalue.
 
-    ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
-    float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
-    ascending, to a float64 column.  Entry ``k`` of every column describes
+    ``trial`` and ``idx`` are int64, or, when an id does not fit in int64
+    (`output.read_records_csv` can meet one), an object column of exact
+    Python ints.  ``re``, ``im`` and ``residual`` are float64, ``is_real``
+    bool, and ``ipr`` maps each order ``q``, strictly ascending, to a
+    float64 column.  Entry ``k`` of every column describes
     the same eigenvalue; iterating yields these entries as `EigRecord` rows
     of Python scalars.  ``==`` compares two tables column by column, bit for
     bit.

@@ -42,16 +42,19 @@ __all__ = [
     "sample_permutation_sum",
 ]
 
-# kind -> (sampler of ``(spec, rng)``, the spec fields it reads beyond ``kind`` and ``N``).
+# kind -> (command-line name, sampler of ``(spec, rng)``, the spec fields it reads beyond ``kind`` and ``N``,
+# whether `compare`'s elliptic law of ``S`` at the raw height applies to it).  One row is the whole kind.
 _KINDS = {
-    "elliptic_real": (lambda spec, rng: sample_elliptic(spec.N, spec.tau, rng), ("tau",)),
-    "ginibre_real": (lambda spec, rng: sample_ginibre_real(spec.N, rng), ()),
-    "ginibre_complex": (lambda spec, rng: sample_ginibre_complex(spec.N, rng), ()),
-    "induced_ginibre": (lambda spec, rng: sample_induced_ginibre(spec.N, spec.nu, rng), ("nu",)),
-    "orthogonal_sum": (lambda spec, rng: sample_orthogonal_sum(spec.N, spec.d, rng), ("d",)),
+    "elliptic_real": ("elliptic", lambda spec, rng: sample_elliptic(spec.N, spec.tau, rng), ("tau",), True),
+    "ginibre_real": ("ginibre-real", lambda spec, rng: sample_ginibre_real(spec.N, rng), (), True),
+    "ginibre_complex": ("ginibre-complex", lambda spec, rng: sample_ginibre_complex(spec.N, rng), (), False),
+    "induced_ginibre": ("induced", lambda spec, rng: sample_induced_ginibre(spec.N, spec.nu, rng), ("nu",), False),
+    "orthogonal_sum": ("orthogonal-sum", lambda spec, rng: sample_orthogonal_sum(spec.N, spec.d, rng), ("d",), False),
     "permutation_sum": (
+        "permutation-sum",
         lambda spec, rng: sample_permutation_sum(spec.N, spec.d, rng, spec.theta),
         ("d", "theta"),
+        False,
     ),
 }
 KINDS = tuple(_KINDS)
@@ -97,7 +100,7 @@ class EnsembleSpec:
         _check_theta(self.theta)
         for f in fields(self)[2:]:  # the fields past kind and N
             value = getattr(self, f.name)
-            if f.name not in _KINDS[self.kind][1] and value != f.default:
+            if f.name not in _KINDS[self.kind][2] and value != f.default:
                 raise ValueError(f"{self.kind} does not read {f.name}: leave it at {f.default!r}, got {value!r}")
 
 
@@ -235,5 +238,5 @@ def sample_permutation_sum(n, d, rng, theta=1.0):
 
 def sample(spec, rng):
     """Draw one matrix according to an `EnsembleSpec`."""
-    return _KINDS[spec.kind][0](spec, rng)
+    return _KINDS[spec.kind][1](spec, rng)
 

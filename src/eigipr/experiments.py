@@ -108,9 +108,15 @@ class InsufficientDataError(RuntimeError):
     """A conditional bin holds fewer samples than the floor."""
 
 
+# Seeds are 64-bit, as an entropy seed is: the largest one `RunConfig`, `trial_rng` and the CLI accept.
+_MAX_SEED = 2**64 - 1
+
+
 def _check_bin(y_center, rel_width, x_window):
     if not y_center > 0.0:
         raise ValueError(f"y_center must be > 0, got {y_center}")
+    if y_center == math.inf:
+        raise ValueError(f"y_center must be finite, got {y_center}")
     if not 0.0 < rel_width < 1.0:
         raise ValueError(f"rel_width must be in (0, 1), got {rel_width}")
     if not x_window > 0.0:
@@ -136,7 +142,7 @@ class RunConfig:
             raise ValueError(f"q_set must be a subset of {sorted(VALID_ORDERS)}, got {self.q_set}")
         if not self.q_set:
             raise ValueError("q_set must not be empty")
-        object.__setattr__(self, "seed", _count("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, _MAX_SEED))
         _check_bin(self.y_center, self.rel_width, self.x_window)
         object.__setattr__(self, "workers", _count("workers", self.workers, 1))
         object.__setattr__(self, "q_set", _ascending_orders(self.q_set))
@@ -144,7 +150,7 @@ class RunConfig:
 
 def trial_rng(seed, trial):
     """Independent per-trial generator derived from ``(seed, trial_index)``."""
-    return np.random.default_rng([_count("seed", seed, 0), _count("trial index", trial, 0)])
+    return np.random.default_rng([_count("seed", seed, 0, _MAX_SEED), _count("trial index", trial, 0)])
 
 
 def eig_right(mat):

@@ -20,7 +20,9 @@ return the shape of their input, with a scalar giving a ``numpy.float64``.
 They are defined on the whole real line, so they return NaN at a NaN point.
 
 All functions take ``y`` as the *scaled* imaginary part (the eigenvalue is
-``x + i y / sqrt(N)``), never the raw one.  Finite-size corrections are
+``x + i y / sqrt(N)``), never the raw one, with ``tau in [0, 1)`` and
+``0 < y sqrt(2 / (1 - tau**2)) <= 1e150``; any other ``(y, tau)`` raises
+`ValueError`.  Finite-size corrections are
 available through `mean_ipr_finite_N` and `mean_ipr_depletion_finite_N`.
 Normalizing constants are evaluated with the scaled complementary error
 function ``erfcx`` so that large ``y`` neither overflows nor cancels.
@@ -60,6 +62,9 @@ def _check_y_tau(y, tau):
         raise ValueError(f"scaled imaginary part y must be > 0, got {y}")
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"asymmetry parameter tau must be in [0, 1), got {tau}")
+    # From z = y sqrt(2 / (1 - tau**2)) near 1.3e154, z*z and log_ndtr(-1/sigma) overflow.
+    if not y * math.sqrt(2.0 / (1.0 - tau * tau)) <= 1e150:
+        raise ValueError(f"scaled imaginary part y must be > 0, finite and at most 1e150*sqrt((1-tau**2)/2), got {y}")
 
 
 def density_delta(delta, y, tau):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import eigipr
-from eigipr import cli
+from eigipr import cli, ensembles
 
 MODULES = ["cli", "core", "ensembles", "experiments", "legendre", "output", "schur", "theory"]
 
@@ -125,3 +125,44 @@ def test_matrix_commands_take_every_spec_field(command):
     fields = dataclasses.fields(eigipr.EnsembleSpec)
     assert [f.name for f in fields[1:] if f.name not in schema] == []
     assert {f.name: schema[f.name][1] for f in fields[2:]} == {f.name: f.default for f in fields[2:]}
+
+
+def _kind_names_spelled(tree, kinds):
+    """The string constants in ``tree`` that equal a matrix kind's name."""
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in kinds]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_kind_names_spelled_only_by_ensembles(name):
+    # A kind is one row of ensembles._KINDS; a module that spells a kind's name keeps a second list of kinds.
+    found = _kind_names_spelled(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")), ensembles.KINDS)
+    assert (found != []) == (name == "ensembles")
+
+
+def test_kind_name_guard_sees_a_hand_kept_list():
+    tree = ast.parse('if config.spec.kind not in ("elliptic_real", "ginibre_real"):\n    pass\n')
+    assert _kind_names_spelled(tree, ensembles.KINDS) == ["elliptic_real", "ginibre_real"]
+
+
+def test_compare_takes_the_spec_fields_its_kinds_read():
+    schema, _ = cli._COMMANDS["compare"]
+    read = {f for _, _, fields, elliptic in ensembles._KINDS.values() if elliptic for f in fields}
+    spec_fields = {f.name for f in dataclasses.fields(eigipr.EnsembleSpec)[2:]}
+    assert set(cli._COMMON_RUN) - set(schema) == spec_fields - read == {"nu", "d", "theta"}
+
+
+def test_every_kind_built_by_its_command_line_name_and_its_own():
+    names = {
+        "elliptic": "elliptic_real",
+        "ginibre-real": "ginibre_real",
+        "ginibre-complex": "ginibre_complex",
+        "induced": "induced_ginibre",
+        "orthogonal-sum": "orthogonal_sum",
+        "permutation-sum": "permutation_sum",
+    }
+    assert sorted(names.values()) == sorted(ensembles.KINDS)
+    p = {"N": 4, "trials": 1, "seed": 0, "workers": 1}
+    for name, kind in names.items():
+        assert ensembles._KINDS[kind][0] == name
+        for ensemble in (name, kind):
+            assert cli._make_run_config(dict(p, ensemble=ensemble), (2,)).spec.kind == kind

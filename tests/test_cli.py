@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eigipr import density_ell, double_factorial_odd, factorial
-from eigipr.cli import main
+from eigipr.cli import _COMMANDS, main
 from eigipr.output import read_records_csv
 
 
@@ -122,6 +122,23 @@ class TestTheoryCommands:
         assert code == 0 and to_stdout == ""
         assert path.read_bytes() == out.encode("utf-8") and out.endswith("}\n")
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("theory-density", []),
+            ("theory-cdf", []),
+            ("theory-sample", ["--seed", "1"]),
+            ("theory-mean", []),
+            ("theory-mean", ["--N", "64"]),
+            ("convergence", ["--N-list", "8", "--trials", "4", "--seed", "1"]),
+        ],
+    )
+    def test_infinite_height_is_runtime_error(self, command, args, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli([command, "--y", "inf", *args, "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
 
 class TestSampleSpectrum:
     def test_records_csv_header_and_roundtrip(self, tmp_path, capsys):
@@ -233,6 +250,8 @@ class TestCompare:
             ("--y", "0", "y_center"),
             ("--tau", "1", "tau < 1"),
             ("--xwindow", "-1", "x_window"),
+            ("--y", "inf", "y_center"),
+            ("--y", "1e300", "y must be > 0"),
             # The elliptic law does not apply to these kinds.
             ("--ensemble", "ginibre-complex", "ROADMAP item 4"),
             ("--ensemble", "induced", "ROADMAP item 4"),
@@ -288,12 +307,6 @@ class TestCompare:
 
 
 class TestEnsembleFields:
-    def test_aliases_name_every_kind(self):
-        from eigipr import cli
-        from eigipr.ensembles import KINDS
-
-        assert set(cli._ENSEMBLE_ALIASES.values()) == set(KINDS)
-
     @pytest.mark.parametrize(
         "command, args, message",
         [
@@ -568,6 +581,32 @@ class TestUsageAndSeeds:
         assert code == 1
         assert "IPR_RMT_SEED" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [c for c, (schema, _) in _COMMANDS.items() if "seed" in schema])
+    def test_seed_outside_64_bits_is_usage_error(self, command, seed, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], runs.append))
+        out = tmp_path / "out"
+        args = [command, *self.REPLAYED[command], "--seed", seed, "--out", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 1 and stdout == "" and runs == [] and not out.exists()
+        assert err == f"usage error: bad value for --seed: seed must be in [0, 18446744073709551615], got {seed}\n"
+
+    def test_env_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("IPR_RMT_SEED", "-3")
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(["theory-sample", "--y", "1.0", "--n", "10", "--out", str(out)], capsys)
+        assert code == 1 and not out.exists()
+        assert err == "usage error: bad value for IPR_RMT_SEED: seed must be in [0, 18446744073709551615], got -3\n"
+
+    @pytest.mark.parametrize("command", ["sample-spectrum", "theory-sample"])
+    def test_largest_seed_runs(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [command, *self.REPLAYED[command], "--seed", str(2**64 - 1), "--out", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 0 and out.exists()
+        assert json.loads(err.splitlines()[0])["params"]["seed"] == 2**64 - 1
 
     def test_defaulted_seed_echoed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("IPR_RMT_SEED", raising=False)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pervector_reference as ref
 import pytest
+from scipy.special import beta, hyp2f1
 
 import eigipr
 from eigipr import (
@@ -258,6 +259,28 @@ class TestRealnessThreshold:
             realness_threshold(w, 1.0)
         assert str(err.value) == str(loop_err.value)
 
+    @staticmethod
+    def mean_real_count(n):
+        """Edelman, Kostlan and Shub (J. AMS 7, 1994): the mean number of real eigenvalues of real Ginibre."""
+        return 0.5 + math.sqrt(2.0) * hyp2f1(1.0, -0.5, n, 0.5) / beta(n, 0.5)
+
+    def test_mean_real_count_formula(self):
+        assert abs(self.mean_real_count(1) - 1.0) < 1e-15
+        assert abs(self.mean_real_count(2) - math.sqrt(2.0)) < 1e-15
+
+    @pytest.mark.parametrize("kind, seed", [("ginibre_real", 1), ("elliptic_real", 2)])
+    def test_snapped_real_count_matches_exact_mean(self, kind, seed):
+        # The snap threshold against a law, not against itself: the real count
+        # per trial at N = 8 has the exact mean E_8; E_7 and E_9 are refused.
+        trials = 10_000
+        table = spectrum_ipr_map(RunConfig(spec=EnsembleSpec(kind=kind, N=8), trials=trials, seed=seed))
+        kept = np.unique(table.trial)
+        counts = np.bincount(table.trial[table.is_real], minlength=trials)[kept]
+        assert kept.size > 0.99 * trials
+        stderr = counts.std(ddof=1) / math.sqrt(kept.size)
+        z = {n: (counts.mean() - self.mean_real_count(n)) / stderr for n in (7, 8, 9)}
+        assert abs(z[8]) < 5 and abs(z[7]) > 5 and abs(z[9]) > 5, z
+
 
 class TestSpectrumIprMap:
     def test_deterministic_across_worker_counts(self):
@@ -441,6 +464,7 @@ class TestConditionalIpr:
         [
             (0.0, 0.1, 0.5, "y_center"),
             (math.nan, 0.1, 0.5, "y_center"),
+            (math.inf, 0.1, 0.5, "y_center"),
             (2.0, 1.0, 0.5, "rel_width"),
             (0.5, 1.5, 0.5, "rel_width"),
             (0.5, 0.0, 0.5, "rel_width"),
@@ -635,7 +659,7 @@ class TestRunConfigValidation:
             RunConfig(spec=spec, trials=1, q_set=())
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, rel_width=1.5)
-        for y_center in (0.0, -0.5, math.nan):
+        for y_center in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="y_center"):
                 RunConfig(spec=spec, trials=1, y_center=y_center)
         for x_window in (0.0, -1.0, math.nan):
@@ -645,6 +669,14 @@ class TestRunConfigValidation:
             RunConfig(spec=spec, trials=1, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(spec=spec, trials=1, workers=0)
+
+    def test_trial_rng_takes_the_seeds_run_config_takes(self):
+        big = 2**64 - 1
+        RunConfig(spec=EnsembleSpec(kind="elliptic_real", N=10), trials=1, seed=big)
+        assert trial_rng(big, 3).random() != trial_rng(big - 1, 3).random()
+        for seed in (-1, big + 1):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 18446744073709551615\]"):
+                trial_rng(seed, 0)
 
     @pytest.mark.parametrize("q_set", [(2, 2), (3, 2, 3)])
     def test_repeated_order_rejected(self, q_set):

@@ -85,6 +85,30 @@ class TestDensityDelta:
             density_delta(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("y", [math.inf, 1e154, 1e300])
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda y: sample_S(y, 0.0, np.random.default_rng(0)),
+        lambda y: cdf_S(2.0, y, 0.0),
+        lambda y: density_S(2.0, y, 0.0),
+        lambda y: mean_ipr_depletion_finite_N(math.inf, 2, y, 0.0),
+    ],
+    ids=["sample_S", "cdf_S", "density_S", "mean_ipr_depletion_finite_N"],
+)
+def test_height_beyond_the_overflow_bound_refused(law, y):
+    # Near y = 1.3e154 at tau = 0, z*z and log_ndtr(-1/sigma) overflow: sample_S
+    # returned inf, the mean the real-axis end 3 instead of the bulk limit 2.
+    with pytest.raises(ValueError, match="y must be > 0"):
+        law(y)
+
+
+def test_height_just_inside_the_bound_keeps_the_bulk_limit():
+    y = 0.999e150 * math.sqrt((1.0 - 0.6**2) / 2.0)
+    assert mean_ipr_depletion_finite_N(math.inf, 2, y, 0.6) == 2.0
+    assert sample_S(y, 0.6, np.random.default_rng(0)) == 1.0
+
+
 class TestDensityS:
     @pytest.mark.parametrize("y,tau", [(0.2, 0.0), (1.0, 0.5), (3.0, 0.9), (0.5, 0.0)])
     def test_normalized(self, y, tau):
