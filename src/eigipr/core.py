@@ -66,19 +66,6 @@ def _count(what, value, low=-math.inf, high=math.inf):
     return int(value)
 
 
-def _int_column(values):
-    """Integers as an int64 column, or as exact Python ints when one does not fit in int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _bits(col):
-    """A float64 column as its bit patterns, so that -0.0 != 0.0 and equal NaNs compare equal."""
-    return col.view(np.uint64) if col.dtype == np.float64 else col
-
-
 # The columns of `Records` besides ``ipr``.
 _SCALAR_COLUMNS = ("trial", "idx", "re", "im", "is_real", "residual")
 
@@ -91,11 +78,9 @@ _ROW_CHUNK = 1024
 class Records:
     """Eigenvalue records as numpy columns, one entry per eigenvalue.
 
-    ``trial`` and ``idx`` are int64, or, when an id does not fit in int64
-    (`output.read_records_csv` can meet one), an object column of exact
-    Python ints.  ``re``, ``im`` and ``residual`` are float64, ``is_real``
-    bool, and ``ipr`` maps each order ``q``, strictly ascending, to a
-    float64 column.  Entry ``k`` of every column describes
+    ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
+    float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
+    ascending, to a float64 column.  Entry ``k`` of every column describes
     the same eigenvalue; iterating yields these entries as `EigRecord` rows
     of Python scalars.  ``==`` compares two tables column by column, bit for
     bit.
@@ -128,36 +113,23 @@ class Records:
 
     @classmethod
     def _from_columns(cls, trial, idx, re, im, is_real, iprs, residual, orders):
-        """The table of per-column sequences, ``iprs`` holding one sequence per order in ``orders``."""
+        """The table of per-column sequences, ``iprs`` holding one per order in ``orders``; ids must fit in int64."""
         orders = [_count("IPR order", q, 1) for q in orders]
         _ascending_orders(orders)
         ipr = sorted(zip(orders, iprs), key=lambda qc: qc[0])
+        try:
+            trial, idx = np.array(trial, dtype=np.int64), np.array(idx, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("trial and idx ids must fit in int64") from None
         return cls(
-            trial=_int_column(trial),
-            idx=_int_column(idx),
+            trial=trial,
+            idx=idx,
             re=np.array(re, dtype=float),
             im=np.array(im, dtype=float),
             is_real=np.array(is_real, dtype=bool),
             residual=np.array(residual, dtype=float),
             ipr={q: np.array(col, dtype=float) for q, col in ipr},
         )
-
-    @classmethod
-    def from_entries(cls, entries, orders):
-        """The table of per-entry tuples ``(trial, idx, re, im, is_real, ipr..., residual)``.
-
-        Each tuple holds one IPR value per order in ``orders``, in that order;
-        the table keeps the IPR columns in ascending order whatever the order
-        given.  A repeated order, and an entry that does not hold
-        ``6 + len(orders)`` fields, raise `ValueError`.
-        """
-        orders = list(orders)
-        entries = list(entries)
-        width = 6 + len(orders)
-        if any(len(entry) != width for entry in entries):
-            raise ValueError(f"every entry must hold {width} fields, with one IPR per order in {tuple(orders)}")
-        trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * width
-        return cls._from_columns(trial, idx, re, im, is_real, iprs, residual, orders)
 
     @classmethod
     def from_rows(cls, rows, orders=None):
@@ -207,9 +179,9 @@ class Records:
     def __eq__(self, other):
         if not isinstance(other, Records):
             return NotImplemented
+        # Every column has a fixed-width dtype, so its bytes are its bits: -0.0 != 0.0, and equal NaNs are equal.
         return self.orders == other.orders and all(
-            a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
-            for a, b in zip(self._columns(), other._columns())
+            a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(self._columns(), other._columns())
         )
 
 

@@ -29,12 +29,12 @@ def _sink(path):
     if path == "-":
         yield sys.stdout
         return
-    path = Path(path)
+    fh = open(path, "w", encoding="utf-8", newline="")  # a failed open removes nothing
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
     except BaseException:
-        path.unlink(missing_ok=True)
+        Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -70,8 +70,9 @@ def read_records_csv(path):
 
     The header is checked before any row is read: the five leading columns,
     ``ipr_q<q>`` columns of distinct orders ``q >= 1``, then ``residual``.  Any other
-    header, and an ``is_real`` field other than ``0`` or ``1``, raises
-    `ValueError` naming the file.
+    header, an ``is_real`` field other than ``0`` or ``1``, a field that is
+    not a number of its column's kind (the line is named too), and a
+    ``trial`` or ``idx`` id outside int64 raise `ValueError` naming the file.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -88,8 +89,15 @@ def read_records_csv(path):
             trial, idx, re, im, is_real, *numbers = row
             if is_real not in ("0", "1"):
                 raise ValueError(f"{path}: is_real must be 0 or 1, got {is_real!r}")
-            entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
-    return Records.from_entries(entries, orders)
+            try:
+                entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * len(header)
+    try:
+        return Records._from_columns(trial, idx, re, im, is_real, iprs, residual, orders)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(payload, path):

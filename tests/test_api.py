@@ -144,6 +144,29 @@ def test_kind_name_guard_sees_a_hand_kept_list():
     assert _kind_names_spelled(tree, ensembles.KINDS) == ["elliptic_real", "ginibre_real"]
 
 
+def _csv_columns_spelled(tree):
+    """The string constants in ``tree`` that spell a records-CSV column name: re_lambda, im_lambda or ipr_q<q>."""
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"re_lambda|im_lambda|ipr_q\d*", node.value)
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_csv_column_names_spelled_only_by_output(name):
+    # output owns the records CSV; a module that spells its column names keeps a second copy of its layout.
+    found = _csv_columns_spelled(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")))
+    assert (found != []) == (name == "output")
+
+
+def test_csv_column_guard_sees_a_second_spelling():
+    tree = ast.parse('head = ["trial", "re_lambda", "im_lambda"] + [f"ipr_q{q}" for q in qs]\nok = "ipr_q2" in head\n')
+    assert sorted(_csv_columns_spelled(tree)) == ["im_lambda", "ipr_q", "ipr_q2", "re_lambda"]
+
+
 def test_compare_takes_the_spec_fields_its_kinds_read():
     schema, _ = cli._COMMANDS["compare"]
     read = {f for _, _, fields, elliptic in ensembles._KINDS.values() if elliptic for f in fields}

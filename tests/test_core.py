@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigipr import (
+    EigRecord,
     EnsembleSpec,
     Records,
     RunConfig,
@@ -233,9 +234,11 @@ def _records_csv(q):
     return buf.getvalue()
 
 
-_TABLE = Records.from_entries([(0, 0, 0.1, 0.2, False, 1.5, 1e-15), (0, 1, -0.3, 0.0, True, 9.0, 1e-15)], (3,))
+_TABLE = Records.from_rows(
+    [EigRecord(0, 0, 0.1, 0.2, False, {3: 1.5}, 1e-15), EigRecord(0, 1, -0.3, 0.0, True, {3: 9.0}, 1e-15)]
+)
 # 100 complex entries at scaled height 0.5 when N = 3.
-_BAND = Records.from_entries([(0, k, 0.0, 0.5 / math.sqrt(3), False, 6.0 + k, 1e-15) for k in range(100)], (3,))
+_BAND = Records.from_rows([EigRecord(0, k, 0.0, 0.5 / math.sqrt(3), False, {3: 6.0 + k}, 1e-15) for k in range(100)])
 _SPEC = EnsembleSpec(kind="elliptic_real", N=4)
 _VEC = np.linspace(0.5, -1.0, 7)
 

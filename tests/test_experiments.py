@@ -405,25 +405,6 @@ class TestRecords:
         with pytest.raises(ValueError, match="strictly ascending"):
             dataclasses.replace(table, ipr={3: table.ipr[3], 2: table.ipr[2]})
 
-    def test_from_entries_refuses_a_repeated_order(self):
-        with pytest.raises(ValueError, match="repeated IPR order"):
-            Records.from_entries([(0, 0, 1.0, 0.0, True, 2.0, 3.0, 0.0)], (2, 2))
-
-    @pytest.mark.parametrize(
-        "entries, orders",
-        [
-            ([(0, 0, 1.0, 0.0, True, 2.0, 3.0, 0.5)], (2,)),
-            ([(0, 0, 1.0, 0.0, True, 2.0, 0.5)], (2, 3)),
-            ([(0, 0, 1.0, 0.0, True, 2.0, 0.5), (0, 1, 1.0, 0.0, True, 2.0, 3.0, 0.5)], (2,)),
-            ([(0, 0, 1.0, 0.0, True, 2.0, 3.0, 0.5), (0, 1, 1.0, 0.0, True, 2.0, 0.5)], (2,)),
-        ],
-        ids=["long", "short", "ragged-long-last", "ragged-long-first"],
-    )
-    def test_from_entries_refuses_an_entry_of_the_wrong_width(self, entries, orders):
-        # Each entry holds 6 fields and one IPR per order; no field is dropped or shifted.
-        with pytest.raises(ValueError, match=f"every entry must hold {6 + len(orders)} fields"):
-            Records.from_entries(entries, orders)
-
     def test_from_rows_refuses_a_repeated_order(self, table):
         with pytest.raises(ValueError, match="repeated IPR order"):
             Records.from_rows(list(table), orders=(3, 2, 3))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from eigipr import EigRecord, Records
+from eigipr import EigRecord, Records, output
 from eigipr.output import (
     read_records_csv,
     write_json,
@@ -42,6 +42,10 @@ def csv_writer_reference(records, q_set):
         row.append(format(float(rec.residual), ".17g"))
         writer.writerow(row)
     return fh.getvalue()
+
+
+# The header of a records CSV with one IPR order.
+_HEADER = "trial,idx,re_lambda,im_lambda,is_real,ipr_q2,residual"
 
 
 class TestRecordsCsv:
@@ -85,14 +89,17 @@ class TestRecordsCsv:
         assert table.orders == (2, 3)
         assert table.ipr[2].tolist() == [2.25, 2.5] and table.ipr[3].tolist() == [4.5, 14.0]
         assert table == Records.from_rows(list(table))
-        assert table == Records.from_entries(
-            [(0, 0, 0.5, 0.25, False, 2.25, 4.5, 1e-15), (1, 3, -0.5, 0.0, True, 2.5, 14.0, 2e-15)], (2, 3)
+        assert table == Records.from_rows(
+            [
+                EigRecord(0, 0, 0.5, 0.25, False, {2: 2.25, 3: 4.5}, 1e-15),
+                EigRecord(1, 3, -0.5, 0.0, True, {2: 2.5, 3: 14.0}, 2e-15),
+            ]
         )
 
     def test_repeated_order_rejected_before_open(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(b"keep me\n")
-        table = Records.from_entries([(0, 0, 1.0, 0.5, False, 2.2, 2.3, 1.25e-13)], (2, 3))
+        table = Records.from_rows([make_record(0, 0, 1.0, 0.5)])
         with pytest.raises(ValueError, match="repeated IPR order"):
             write_records_csv(table, path, q_set=(2, 2, 3))
         assert path.read_bytes() == b"keep me\n"
@@ -145,7 +152,7 @@ class TestRecordsCsv:
             make_record(0, 0, -0.0, 0.0, q_set),
             make_record(7, 1, 5e-324, -0.0, q_set),
             make_record(2**62, 2, 1e-300, 1e300, q_set),
-            make_record(10**20, 3, -1.0 / 3.0, 2.0 / 3.0, q_set),
+            make_record(2**63 - 1, 3, -1.0 / 3.0, 2.0 / 3.0, q_set),
         ]
         records[1].ipr[3] = 5e-324
         records[2].residual = -0.0
@@ -158,6 +165,34 @@ class TestRecordsCsv:
         assert capsys.readouterr().out == expected
         write_records_csv(Records.from_rows(records), path)
         assert path.read_bytes() == expected.encode("utf-8")
+        # An id beyond int64 is refused before the file is opened.
+        records[3].trial_id = 10**20
+        with pytest.raises(ValueError, match="trial and idx ids must fit in int64"):
+            write_records_csv(records, path, q_set=q_set)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("trial, idx", [(10**20, 0), (0, -(2**63) - 1)], ids=["trial", "idx"])
+    def test_id_beyond_int64_rejected(self, trial, idx, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{_HEADER}\r\n{trial},{idx},1.0,0.0,1,2.0,1e-13\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: trial and idx ids must fit in int64")):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,0,1.0,0.0,0,2.0,1e-13", "invalid literal for int() with base 10: 'x'"),
+            ("0,1.5,1.0,0.0,0,2.0,1e-13", "invalid literal for int() with base 10: '1.5'"),
+            ("0,0,1.0,,0,2.0,1e-13", "could not convert string to float: ''"),
+            ("0,0,1.0,0.0,0,two,1e-13", "could not convert string to float: 'two'"),
+        ],
+        ids=["trial", "idx", "im_lambda", "ipr"],
+    )
+    def test_bad_field_names_file_and_line(self, row, message, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{_HEADER}\r\n0,0,1.0,0.0,1,2.0,1e-13\r\n{row}\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
+            read_records_csv(path)
 
     def test_partial_file_removed_on_failure(self, tmp_path):
         # A missing order is found before the file is opened: what was there stays.
@@ -174,6 +209,28 @@ class TestRecordsCsv:
         with pytest.raises(ValueError):
             write_table_csv(["x"], [(1.0,), ("not a number",)], partial)
         assert not partial.exists()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_json({"a": 1}, path),
+            lambda path: write_records_csv([make_record(0, 0, 1.0, 0.5)], path),
+            lambda path: write_table_csv(["x"], [(1.0,)], path),
+            lambda path: write_svg_scatter(Records.from_rows([make_record(0, 0, 1.0, 0.5)]), 2, path),
+        ],
+        ids=["json", "records", "table", "svg"],
+    )
+    def test_failed_open_leaves_the_old_file(self, write, tmp_path, monkeypatch):
+        # Only a partial file the writer made is removed: one it could not open is not its own.
+        def refuse(*args, **kwargs):
+            raise PermissionError("refused")
+
+        path = tmp_path / "old"
+        path.write_bytes(b"keep me\n")
+        monkeypatch.setattr(output, "open", refuse, raising=False)
+        with pytest.raises(PermissionError):
+            write(path)
+        assert path.read_bytes() == b"keep me\n"
 
 
 class TestJson:
@@ -224,7 +281,7 @@ class TestDensityCsv:
 class TestSvgScatter:
     def test_structure_and_color_clipping(self, tmp_path):
         # IPRs 2.2 to 9.2: all but the first above the (2q-1)!! = 3 ceiling.
-        records = Records.from_entries([(0, i, 0.1 * i, 0.05 * i, i == 0, 2.2 + i, 1.25e-13) for i in range(8)], (2,))
+        records = Records.from_rows([make_record(0, i, 0.1 * i, 0.05 * i, q_set=(2,)) for i in range(8)])
         path = tmp_path / "fig.svg"
         write_svg_scatter(records, 2, path)
         text = path.read_text()
@@ -236,4 +293,4 @@ class TestSvgScatter:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_svg_scatter(Records.from_entries([], (2,)), 2, tmp_path / "x.svg")
+            write_svg_scatter(Records.from_rows([], orders=(2,)), 2, tmp_path / "x.svg")
