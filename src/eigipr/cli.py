@@ -240,10 +240,6 @@ def _run_theory_mean(p):
 
 def _run_compare(p):
     config = _make_run_config(p, (p["q"],), y_center=p["y"], rel_width=p["relwidth"], x_window=p["xwindow"])
-    # At tau = 1 the matrix is symmetric: no eigenvalue is off the real axis,
-    # and the limit law is undefined.  Refuse before any matrix is sampled.
-    if not p["tau"] < 1.0:
-        raise ValueError(f"compare needs tau < 1, got {p['tau']}")
     # A KS distance lies in [0, 1]: a threshold outside (0, 1] passes or fails every run.
     if not 0.0 < p["threshold"] <= 1.0:
         raise ValueError(f"compare needs a threshold in (0, 1], got {p['threshold']}")
@@ -254,7 +250,9 @@ def _run_compare(p):
             f"compare tests the elliptic law, which does not apply to {p['ensemble']}; it takes "
             f"{' or '.join(_COMPARED.values())} until ROADMAP item 4 (local universality) lands"
         )
-    theory._check_y_tau(p["y"], p["tau"])  # the law's own domain, before any matrix is sampled
+    # The law's own domain, before any matrix is sampled.  It refuses tau = 1, where
+    # the matrix is symmetric: no eigenvalue is off the real axis, and the law is undefined.
+    theory._check_y_tau(p["y"], p["tau"])
     records = experiments.spectrum_ipr_map(config)
     dist = experiments.conditional_ipr(
         records, p["q"], p["y"], p["relwidth"], p["xwindow"], config.spec.N

@@ -66,8 +66,8 @@ def _count(what, value, low=-math.inf, high=math.inf):
     return int(value)
 
 
-# The columns of `Records` besides ``ipr``.
-_SCALAR_COLUMNS = ("trial", "idx", "re", "im", "is_real", "residual")
+# The dtype of each column of `Records` besides ``ipr``, whose columns are float64.
+_DTYPES = {"trial": np.int64, "idx": np.int64, "re": float, "im": float, "is_real": bool, "residual": float}
 
 # Entries turned into Python scalars at a time when a table is iterated or
 # written: the transient lists stay near 300 kB at any table size.
@@ -80,10 +80,13 @@ class Records:
 
     ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
     float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
-    ascending, to a float64 column.  Entry ``k`` of every column describes
-    the same eigenvalue; iterating yields these entries as `EigRecord` rows
-    of Python scalars.  ``==`` compares two tables column by column, bit for
-    bit.
+    ascending, to a float64 column.  The constructor converts each column to
+    its dtype, keeping an array that has it uncopied, and raises `ValueError`
+    for ids of a non-integer dtype or beyond int64, an order that is not a
+    whole number >= 1, orders that do not ascend, or columns of unequal
+    lengths.  Entry ``k`` of every column describes the same eigenvalue;
+    iterating yields these entries as `EigRecord` rows of Python scalars.
+    ``==`` compares two tables column by column, bit for bit.
     """
 
     trial: np.ndarray
@@ -95,11 +98,21 @@ class Records:
     ipr: dict
 
     def __post_init__(self):
+        for name, dtype in _DTYPES.items():
+            col = np.asarray(getattr(self, name))
+            # An id is never truncated: bool, float and object ids are refused, and so is uint64 past int64.
+            kind = col.dtype.kind
+            if dtype is np.int64 and col.size and not (kind == "i" or kind == "u" and col.max() < 2**63):
+                raise ValueError(f"trial and idx ids must fit in int64, got {col.dtype} ids")
+            object.__setattr__(self, name, col.astype(dtype, copy=False))
+        orders = _ascending_orders(self.ipr)
+        if orders != tuple(self.ipr):
+            raise ValueError(f"IPR orders must be strictly ascending, got {list(self.ipr)}")
+        ipr = {q: np.asarray(col).astype(float, copy=False) for q, col in zip(orders, self.ipr.values())}
+        object.__setattr__(self, "ipr", ipr)
         sizes = {len(col) for col in self._columns()}
         if len(sizes) > 1:
             raise ValueError(f"record columns differ in length: {sorted(sizes)}")
-        if list(self.ipr) != sorted(self.ipr):
-            raise ValueError(f"IPR orders must be strictly ascending, got {list(self.ipr)}")
 
     def _columns(self, orders=None):
         """The columns in `EigRecord` field order, with the IPRs at ``orders`` (default: all held)."""
@@ -112,26 +125,6 @@ class Records:
         return tuple(self.ipr)
 
     @classmethod
-    def _from_columns(cls, trial, idx, re, im, is_real, iprs, residual, orders):
-        """The table of per-column sequences, ``iprs`` holding one per order in ``orders``; ids must fit in int64."""
-        orders = [_count("IPR order", q, 1) for q in orders]
-        _ascending_orders(orders)
-        ipr = sorted(zip(orders, iprs), key=lambda qc: qc[0])
-        try:
-            trial, idx = np.array(trial, dtype=np.int64), np.array(idx, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("trial and idx ids must fit in int64") from None
-        return cls(
-            trial=trial,
-            idx=idx,
-            re=np.array(re, dtype=float),
-            im=np.array(im, dtype=float),
-            is_real=np.array(is_real, dtype=bool),
-            residual=np.array(residual, dtype=float),
-            ipr={q: np.array(col, dtype=float) for q, col in ipr},
-        )
-
-    @classmethod
     def from_rows(cls, rows, orders=None):
         """The table of an iterable of `EigRecord` rows.
 
@@ -142,23 +135,21 @@ class Records:
         rows = list(rows)
         if orders is None:
             orders = rows[0].ipr if rows else ()
-        orders = list(orders)
-        return cls._from_columns(
-            [r.trial_id for r in rows],
-            [r.idx for r in rows],
-            [r.re_lambda for r in rows],
-            [r.im_lambda for r in rows],
-            [r.is_real_eig for r in rows],
-            [[r.ipr[q] for r in rows] for q in orders],
-            [r.residual for r in rows],
-            orders,
+        return cls(
+            trial=[r.trial_id for r in rows],
+            idx=[r.idx for r in rows],
+            re=[r.re_lambda for r in rows],
+            im=[r.im_lambda for r in rows],
+            is_real=[r.is_real_eig for r in rows],
+            residual=[r.residual for r in rows],
+            ipr={q: [r.ipr[q] for r in rows] for q in _ascending_orders(orders)},
         )
 
     @classmethod
     def concat(cls, parts):
         """One table of ``parts``, a nonempty sequence of tables with the same orders, in order."""
         return cls(
-            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _SCALAR_COLUMNS},
+            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _DTYPES},
             ipr={q: np.concatenate([p.ipr[q] for p in parts]) for q in parts[0].orders},
         )
 

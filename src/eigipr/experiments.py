@@ -67,6 +67,23 @@ _RESIDUAL_PANEL = 64
 _BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 
+def _openblas():
+    """The loaded library that exports `_BLAS_SET_THREADS` (numpy's bundled OpenBLAS), or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, _BLAS_SET_THREADS):
+            return lib
+    return None
+
+
 def _pin_blas_threads():
     """Set numpy's bundled OpenBLAS to one thread for the whole process.
 
@@ -76,21 +93,14 @@ def _pin_blas_threads():
     pipeline's worker pool.  When no loaded library exports the setter
     (another BLAS, another OS) this logs at debug level and does nothing.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            setter = getattr(ctypes.CDLL(path), _BLAS_SET_THREADS)
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+    lib = _openblas()
+    if lib is None:
+        log.debug("no loaded library exports %s; BLAS threads left as they are", _BLAS_SET_THREADS)
         return
-    log.debug("no loaded library exports %s; BLAS threads left as they are", _BLAS_SET_THREADS)
+    setter = getattr(lib, _BLAS_SET_THREADS)
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
 _pin_blas_threads()

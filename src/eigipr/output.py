@@ -69,17 +69,19 @@ def read_records_csv(path):
     """Parse a records CSV back into a `Records` table.
 
     The header is checked before any row is read: the five leading columns,
-    ``ipr_q<q>`` columns of distinct orders ``q >= 1``, then ``residual``.  Any other
-    header, an ``is_real`` field other than ``0`` or ``1``, a field that is
-    not a number of its column's kind (the line is named too), and a
-    ``trial`` or ``idx`` id outside int64 raise `ValueError` naming the file.
+    ``ipr_q<q>`` columns of distinct orders ``q >= 1`` written as ``str(q)``,
+    then ``residual``.  Any other header, an ``is_real`` field other than
+    ``0`` or ``1``, an id other than ``str(int)`` of an int64, and a float
+    field `float` refuses or holding ``_`` or surrounding whitespace raise
+    `ValueError` naming the file (and the line, for a row's number field).
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         names = header[5:-1]
         orders = [int(name[5:]) for name in names if name.startswith("ipr_q") and name[5:].isdecimal()]
-        if header[:5] != _HEAD or header[-1:] != ["residual"] or len(set(orders) - {0}) < len(names):
+        exact = names == [f"ipr_q{q}" for q in orders]  # not ipr_q02, nor a non-ASCII digit
+        if header[:5] != _HEAD or header[-1:] != ["residual"] or not exact or len(set(orders) - {0}) < len(names):
             raise ValueError(f"{path}: bad records CSV header (or a repeated IPR order): {','.join(header)}")
         # Each row parsed as it is read: no CSV text is kept.
         entries = []
@@ -90,12 +92,16 @@ def read_records_csv(path):
             if is_real not in ("0", "1"):
                 raise ValueError(f"{path}: is_real must be 0 or 1, got {is_real!r}")
             try:
-                entries.append((int(trial), int(idx), float(re), float(im), is_real == "1", *map(float, numbers)))
+                ids, floats = [int(trial), int(idx)], [float(x) for x in (re, im, *numbers)]
+                if [str(i) for i in ids] != [trial, idx] or any("_" in x or x.strip() != x for x in row):
+                    raise ValueError(f"a field is not as write_records_csv writes it: {','.join(row)}")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            entries.append((*ids, *floats[:2], is_real == "1", *floats[2:]))
     trial, idx, re, im, is_real, *iprs, residual = list(zip(*entries)) or [()] * len(header)
+    ipr = dict(sorted(zip(orders, iprs)))  # the orders are distinct, so only they are compared
     try:
-        return Records._from_columns(trial, idx, re, im, is_real, iprs, residual, orders)
+        return Records(trial=trial, idx=idx, re=re, im=im, is_real=is_real, residual=residual, ipr=ipr)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

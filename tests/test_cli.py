@@ -248,7 +248,7 @@ class TestCompare:
         "flag, value, message",
         [
             ("--y", "0", "y_center"),
-            ("--tau", "1", "tau < 1"),
+            ("--tau", "1", "tau must be in [0, 1)"),
             ("--xwindow", "-1", "x_window"),
             ("--y", "inf", "y_center"),
             ("--y", "1e300", "y must be > 0"),

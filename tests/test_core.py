@@ -237,6 +237,11 @@ def _records_csv(q):
 _TABLE = Records.from_rows(
     [EigRecord(0, 0, 0.1, 0.2, False, {3: 1.5}, 1e-15), EigRecord(0, 1, -0.3, 0.0, True, {3: 9.0}, 1e-15)]
 )
+# The columns of _TABLE as plain lists.
+_COLUMNS = dict(
+    trial=[0, 0], idx=[0, 1], re=[0.1, -0.3], im=[0.2, 0.0], is_real=[False, True], residual=[1e-15, 1e-15],
+    ipr={3: [1.5, 9.0]},
+)
 # 100 complex entries at scaled height 0.5 when N = 3.
 _BAND = Records.from_rows([EigRecord(0, k, 0.0, 0.5 / math.sqrt(3), False, {3: 6.0 + k}, 1e-15) for k in range(100)])
 _SPEC = EnsembleSpec(kind="elliptic_real", N=4)
@@ -272,6 +277,7 @@ COUNT_ARGS = {
     "experiments.conditional_ipr n_dim": lambda v: conditional_ipr(_BAND, 3, 0.5, 0.1, 0.5, v),
     "experiments.convergence_study n_list": lambda v: convergence_study(2, 0.5, 0.0, [v], 4, _rng()),
     "experiments.convergence_study trials": lambda v: convergence_study(2, 0.5, 0.0, [8], v, _rng()),
+    "core.Records ipr order": lambda v: Records(**{**_COLUMNS, "ipr": {v: [1.5, 9.0]}}).orders,
     "output.write_svg_scatter q": _svg,
     "output.write_records_csv q_set": _records_csv,
     "cli int parameter": cli._int,
@@ -337,3 +343,36 @@ class TestCountRule:
         big = 2**64 - 1
         assert _count("seed", big, 0, big) == big and _count("seed", np.uint64(big), 0, big) == big
         assert _count("seed", 10**30, 0) == 10**30  # never through float
+
+
+class TestRecordsConstructor:
+    def test_lists_give_the_typed_table(self, tmp_path):
+        table = Records(**_COLUMNS)
+        assert table.trial.dtype == table.idx.dtype == np.int64 and table.is_real.dtype == bool
+        assert table.re.dtype == table.im.dtype == table.residual.dtype == table.ipr[3].dtype == np.float64
+        assert table == _TABLE
+        write_records_csv(table, tmp_path / "lists.csv")
+        write_records_csv(_TABLE, tmp_path / "rows.csv")
+        assert (tmp_path / "lists.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        # An array that has its column's dtype is kept, not copied.
+        re = np.array([0.1, -0.3])
+        assert Records(**{**_COLUMNS, "re": re}).re is re
+
+    @pytest.mark.parametrize("bad", [1.5, 0.7, True, 2**63, 10**20], ids=repr)
+    @pytest.mark.parametrize("column, field", [("trial", "trial_id"), ("idx", "idx")])
+    def test_id_outside_int64_refused(self, column, field, bad):
+        # A fractional or bool id is never truncated, nor an id past int64 wrapped.
+        with pytest.raises(ValueError, match="trial and idx ids must fit in int64"):
+            Records(**{**_COLUMNS, column: [bad, bad]})
+        row = EigRecord(0, 0, 0.1, 0.2, False, {3: 1.5}, 1e-15)
+        setattr(row, field, bad)
+        with pytest.raises(ValueError, match="trial and idx ids must fit in int64"):
+            Records.from_rows([row])
+
+    def test_orders_are_ascending_whole_numbers(self):
+        with pytest.raises(ValueError, match="IPR order must be a whole number, got 2.5"):
+            Records(**{**_COLUMNS, "ipr": {2.5: [1.0, 1.0]}})
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Records(**{**_COLUMNS, "ipr": {3: [1.5, 9.0], 2: [1.0, 1.0]}})
+        orders = Records(**{**_COLUMNS, "ipr": {2.0: [1.0, 1.0]}}).orders
+        assert orders == (2,) and type(orders[0]) is int

@@ -21,6 +21,7 @@ import pytest
 import scipy
 
 from eigipr.cli import main
+from eigipr.experiments import _openblas
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -52,20 +53,12 @@ RUNS = {
 def environment():
     """What the digests depend on besides the source: numpy, scipy, and numpy's OpenBLAS core and config."""
     env = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas_core": None, "openblas_config": None}
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        paths = []
-    for path in paths:  # the library whose thread count experiments._pin_blas_threads sets
-        try:
-            lib = ctypes.CDLL(path)
-            core, config = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_
-        except (OSError, AttributeError):
-            continue
+    lib = _openblas()  # the library whose thread count importing eigipr.experiments pins to one
+    core = getattr(lib, "scipy_openblas_get_corename64_", None)
+    config = getattr(lib, "scipy_openblas_get_config64_", None)
+    if core is not None and config is not None:
         core.restype = config.restype = ctypes.c_char_p
         env.update(openblas_core=core().decode(), openblas_config=config().decode())
-        break
     return env
 
 

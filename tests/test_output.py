@@ -47,6 +47,9 @@ def csv_writer_reference(records, q_set):
 # The header of a records CSV with one IPR order.
 _HEADER = "trial,idx,re_lambda,im_lambda,is_real,ipr_q2,residual"
 
+# The refusal of a row field that int() or float() takes but write_records_csv never writes.
+_NOT_WRITTEN = "a field is not as write_records_csv writes it"
+
 
 class TestRecordsCsv:
     def test_zero_records_header_only(self, tmp_path):
@@ -76,6 +79,14 @@ class TestRecordsCsv:
         back = read_records_csv(path)
         assert isinstance(back, Records)
         assert back == Records.from_rows(records)
+
+    def test_nan_and_inf_read_back(self, tmp_path):
+        # The writer writes nan and inf for a table holding them, so the reader takes them.
+        table = Records.from_rows([EigRecord(0, 0, 0.5, 0.25, False, {2: math.nan}, -math.inf)])
+        path = tmp_path / "r.csv"
+        write_records_csv(table, path)
+        assert path.read_text().splitlines()[1] == "0,0,0.5,0.25,0,nan,-inf"
+        assert read_records_csv(path) == table
 
     def test_header_order_of_iprs_not_kept(self, tmp_path):
         # A CSV may list its IPR columns in any order; the table holds them ascending.
@@ -113,6 +124,8 @@ class TestRecordsCsv:
             "trial,idx,re_lambda,im_lambda,is_real",
             "trial,idx,re_lambda,im_lambda,is_real,ipr_q2,ipr_q2,ipr_q3,residual",  # repeated order
             "trial,idx,re_lambda,im_lambda,is_real,ipr_q0,residual",  # no IPR of order 0
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q02,residual",  # the writer writes ipr_q2
+            "trial,idx,re_lambda,im_lambda,is_real,ipr_q\u0662,residual",  # an Arabic-Indic 2
         ],
     )
     def test_bad_header_rejected_before_rows(self, header, tmp_path):
@@ -185,8 +198,14 @@ class TestRecordsCsv:
             ("0,1.5,1.0,0.0,0,2.0,1e-13", "invalid literal for int() with base 10: '1.5'"),
             ("0,0,1.0,,0,2.0,1e-13", "could not convert string to float: ''"),
             ("0,0,1.0,0.0,0,two,1e-13", "could not convert string to float: 'two'"),
+            ("1_0,0,1.0,0.0,0,2.0,1e-13", _NOT_WRITTEN),
+            ("0, 3 ,1.0,0.0,0,2.0,1e-13", _NOT_WRITTEN),
+            ("-0,0,1.0,0.0,0,2.0,1e-13", _NOT_WRITTEN),
+            ("0,0,1_0.5,0.0,0,2.0,1e-13", _NOT_WRITTEN),
+            ("0,0,1.0,0.0,0, 2.0,1e-13", _NOT_WRITTEN),
         ],
-        ids=["trial", "idx", "im_lambda", "ipr"],
+        ids=["trial", "idx", "im_lambda", "ipr", "trial_underscore", "idx_padded", "trial_minus_zero",
+             "re_underscore", "ipr_padded"],
     )
     def test_bad_field_names_file_and_line(self, row, message, tmp_path):
         path = tmp_path / "r.csv"
