@@ -66,8 +66,24 @@ def _count(what, value, low=-math.inf, high=math.inf):
     return int(value)
 
 
-# The dtype of each column of `Records` besides ``ipr``, whose columns are float64.
-_DTYPES = {"trial": np.int64, "idx": np.int64, "re": float, "im": float, "is_real": bool, "residual": float}
+# Each `Records` column (each ``ipr`` column as "ipr"): its dtype, the numpy dtype kinds it takes, the rule it keeps.
+_ID = (np.int64, "iu", "trial and idx ids must fit in int64 and not be bools")
+_FLOAT = (np.float64, "iuf", "re, im, residual and ipr values must be integers or floats")
+_BOOL = (np.bool_, "b", "is_real values must be bools")
+_DTYPES = {"trial": _ID, "idx": _ID, "re": _FLOAT, "im": _FLOAT, "is_real": _BOOL, "residual": _FLOAT, "ipr": _FLOAT}
+
+
+def _typed(label, values, dtype, kinds, rule):
+    """``values`` as a column of ``dtype``, uncopied when it has it; `ValueError` stating ``rule`` otherwise."""
+    col = np.asarray(values)
+    kind = col.dtype.kind
+    # numpy types a list as a whole, so an id list holding a bool counts as a bool column; no id is wrapped past int64.
+    if dtype is np.int64 and isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        kind = "b"
+    if col.size and (kind not in kinds or dtype is np.int64 and kind == "u" and col.max() >= 2**63):
+        raise ValueError(f"{rule}, got column {label} of dtype {col.dtype}")
+    return col.astype(dtype, copy=False)
+
 
 # Entries turned into Python scalars at a time when a table is iterated or
 # written: the transient lists stay near 300 kB at any table size.
@@ -80,13 +96,16 @@ class Records:
 
     ``trial`` and ``idx`` are int64, ``re``, ``im`` and ``residual``
     float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
-    ascending, to a float64 column.  The constructor converts each column to
-    its dtype, keeping an array that has it uncopied, and raises `ValueError`
-    for ids of a non-integer dtype or beyond int64, an order that is not a
-    whole number >= 1, orders that do not ascend, or columns of unequal
-    lengths.  Entry ``k`` of every column describes the same eigenvalue;
-    iterating yields these entries as `EigRecord` rows of Python scalars.
-    ``==`` compares two tables column by column, bit for bit.
+    ascending, to a float64 column; a run builds one table.  The constructor
+    types every column by one rule, keeping an array of its dtype uncopied,
+    and raises `ValueError` naming the column for ids that are not integers
+    in int64 (nor a bool among a list's ints), float columns that are not
+    integers or floats (complex, bool) and an ``is_real`` that is not bool;
+    also for an order that is not a whole number >= 1, orders that do not
+    ascend, and columns of unequal lengths.  Entry ``k`` of every column
+    describes the same eigenvalue; iterating yields these entries as
+    `EigRecord` rows of Python scalars.  ``==`` compares two tables column
+    by column, bit for bit.
     """
 
     trial: np.ndarray
@@ -98,18 +117,15 @@ class Records:
     ipr: dict
 
     def __post_init__(self):
-        for name, dtype in _DTYPES.items():
-            col = np.asarray(getattr(self, name))
-            # An id is never truncated: bool, float and object ids are refused, and so is uint64 past int64.
-            kind = col.dtype.kind
-            if dtype is np.int64 and col.size and not (kind == "i" or kind == "u" and col.max() < 2**63):
-                raise ValueError(f"trial and idx ids must fit in int64, got {col.dtype} ids")
-            object.__setattr__(self, name, col.astype(dtype, copy=False))
         orders = _ascending_orders(self.ipr)
         if orders != tuple(self.ipr):
             raise ValueError(f"IPR orders must be strictly ascending, got {list(self.ipr)}")
-        ipr = {q: np.asarray(col).astype(float, copy=False) for q, col in zip(orders, self.ipr.values())}
-        object.__setattr__(self, "ipr", ipr)
+        for name, rule in _DTYPES.items():
+            if name == "ipr":
+                col = {q: _typed(f"ipr[{q}]", values, *rule) for q, values in zip(orders, self.ipr.values())}
+            else:
+                col = _typed(name, getattr(self, name), *rule)
+            object.__setattr__(self, name, col)
         sizes = {len(col) for col in self._columns()}
         if len(sizes) > 1:
             raise ValueError(f"record columns differ in length: {sorted(sizes)}")
@@ -143,14 +159,6 @@ class Records:
             is_real=[r.is_real_eig for r in rows],
             residual=[r.residual for r in rows],
             ipr={q: [r.ipr[q] for r in rows] for q in _ascending_orders(orders)},
-        )
-
-    @classmethod
-    def concat(cls, parts):
-        """One table of ``parts``, a nonempty sequence of tables with the same orders, in order."""
-        return cls(
-            **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _DTYPES},
-            ipr={q: np.concatenate([p.ipr[q] for p in parts]) for q in parts[0].orders},
         )
 
     def __len__(self):

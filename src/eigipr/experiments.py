@@ -267,7 +267,7 @@ def _snap_and_pair(w, fro):
 
 
 def _run_trial(config, trial):
-    """One trial's `Records`: sample, eigensolve, check the residuals, snap and pair, IPRs."""
+    """One trial's columns, as `Records` takes them: sample, eigensolve, check the residuals, snap and pair, IPRs."""
     rng = trial_rng(config.seed, trial)
     mat = ensembles.sample(config.spec, rng)
     w, v, res = eig_right(mat)
@@ -280,40 +280,34 @@ def _run_trial(config, trial):
         lam, keep, real = _snap_and_pair(w, np.linalg.norm(mat, "fro"))
     # The kept eigenvector columns, gathered once as rows; one block call per order.
     kept = v.T[keep]
-    return Records(
-        trial=np.full(keep.size, trial, dtype=np.int64),
-        idx=np.arange(keep.size, dtype=np.int64),
-        re=lam.real,
-        im=lam.imag,
-        is_real=real,
-        residual=res[keep],
-        ipr={q: ipr(kept, q) for q in config.q_set},
+    return dict(
+        trial=np.full(keep.size, trial, dtype=np.int64), idx=np.arange(keep.size, dtype=np.int64), re=lam.real,
+        im=lam.imag, is_real=real, residual=res[keep], ipr={q: ipr(kept, q) for q in config.q_set},
     )
 
 
 def spectrum_ipr_map(config):
     """Run the full pipeline for every trial and return all records as one `Records` table.
 
-    Entries are ordered by ``(trial, idx)`` regardless of worker count.
+    Each trial returns its columns, each concatenated over the kept trials
+    into the one table, ordered by ``(trial, idx)`` for any worker count.
     Trials whose eigensolve fails are skipped and logged; more than 1% skips
     raises `RunError`.
     """
-    per_trial = [None] * config.trials
-    skipped = []
 
     def run(trial):
         try:
-            per_trial[trial] = _run_trial(config, trial)
+            return _run_trial(config, trial)
         except np.linalg.LinAlgError as exc:
-            skipped.append(trial)
             log.warning("trial %d skipped: %s", trial, exc)
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        list(pool.map(run, range(config.trials)))
-
-    if len(skipped) > 0.01 * config.trials:
-        raise RunError(f"{len(skipped)}/{config.trials} trials failed the eigensolve")
-    return Records.concat([part for part in per_trial if part is not None])
+        kept = [part for part in pool.map(run, range(config.trials)) if part is not None]
+    skipped = config.trials - len(kept)
+    if skipped > 0.01 * config.trials:
+        raise RunError(f"{skipped}/{config.trials} trials failed the eigensolve")
+    columns = {name: np.concatenate([part[name] for part in kept]) for name in kept[0] if name != "ipr"}
+    return Records(**columns, ipr={q: np.concatenate([part["ipr"][q] for part in kept]) for q in config.q_set})
 
 
 @dataclass(frozen=True)
@@ -324,13 +318,11 @@ class EmpiricalDist:
 
     @classmethod
     def from_samples(cls, xs):
-        xs = np.sort(np.asarray(xs, dtype=float))
-        if xs.size == 0:
-            raise ValueError("empirical distribution needs at least one sample")
+        xs = np.asarray(xs, dtype=float)
         # A NaN would sort last and read as F = 0 there, so one would set the KS distance to 1.
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("empirical distribution needs finite samples")
-        return cls(values=xs)
+        if xs.ndim != 1 or xs.size == 0 or not np.all(np.isfinite(xs)):
+            raise ValueError("empirical distribution needs a nonempty 1-D sample of finite values")
+        return cls(values=np.sort(xs))
 
     @property
     def count(self):
@@ -377,9 +369,7 @@ def conditional_ipr(records, q, y_center, rel_width, x_window, n_dim):
     band = ~table.is_real & (lo <= height) & (height <= hi) & (np.abs(table.re) <= x_window)
     vals = table.ipr[q][band]
     if vals.size < 100:
-        raise InsufficientDataError(
-            f"only {vals.size} samples in bin [{lo:g}, {hi:g}]; need at least 100"
-        )
+        raise InsufficientDataError(f"only {vals.size} samples in bin [{lo:g}, {hi:g}]; need at least 100")
     return EmpiricalDist.from_samples(vals)
 
 

@@ -45,23 +45,72 @@ CONFIGS = {
 }
 
 
+def _eigipr_references(tree):
+    """``(module, name)`` for each name ``tree`` imports from, or reads as an attribute of, an eigipr module.
+
+    A name bound by ``import eigipr``, ``import eigipr.x as y`` or ``from eigipr import x`` (a module)
+    stands for that module, so ``y.name`` and ``eigipr.x.name`` are references, as is each name of
+    ``from eigipr.x import name``.
+    """
+    modules, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "eigipr":
+                    module = importlib.import_module(a.name)
+                    modules[a.asname or "eigipr"] = module if a.asname else eigipr
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "eigipr":
+            for a in node.names:
+                if node.module == "eigipr" and a.name in MODULES:
+                    modules[a.asname or a.name] = importlib.import_module(f"eigipr.{a.name}")
+                else:
+                    refs.append((node.module, a.name))
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            return modules.get(node.id)
+        value = getattr(module_of(node.value), node.attr, None) if isinstance(node, ast.Attribute) else None
+        return value if isinstance(value, types.ModuleType) else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (module := module_of(node.value)) is not None:
+            refs.append((module.__name__, node.attr))
+    return refs
+
+
+def _missing(refs):
+    return [f"{module}.{name}" for module, name in refs if not hasattr(importlib.import_module(module), name)]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(demo):
     # Parsed, not run: each demo takes seconds and writes files.
-    missing = []
-    for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "eigipr":
-            module = importlib.import_module(node.module)
-            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.split(".")[0] == "eigipr":
-                    importlib.import_module(a.name)
-        elif isinstance(node, ast.Call):
+    tree = ast.parse(demo.read_text(encoding="utf-8"))
+    missing = _missing(_eigipr_references(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in CONFIGS:
                 missing += [f"{name}({k.arg}=)" for k in node.keywords if k.arg and k.arg not in CONFIGS[name]]
     assert missing == []
+
+
+def test_bench_references_resolve():
+    # Parsed, read only: the benchmark's replay calls eigipr's layers by name, so a dropped name fails here
+    # and not only when the benchmark runs.
+    scripts = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
+    refs = [ref for path in scripts for ref in _eigipr_references(ast.parse(path.read_text(encoding="utf-8")))]
+    used = {("eigipr.experiments", "realness_threshold"), ("eigipr.legendre", "g_inverse"), ("eigipr.core", "EigRecord")}
+    assert used <= set(refs)
+    assert _missing(refs) == []
+
+
+def test_bench_reference_guard_sees_a_dropped_name():
+    tree = ast.parse(
+        "import eigipr\nfrom eigipr import experiments as ex\nfrom eigipr.core import Records, Gone\n"
+        "def f(records):\n    return ex.spectrum_ipr_map, ex.Records.concat(records), eigipr.cli.gone\n"
+    )
+    assert _missing(_eigipr_references(tree)) == ["eigipr.core.Gone", "eigipr.cli.gone"]
 
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -369,6 +369,27 @@ class TestRecordsConstructor:
         with pytest.raises(ValueError, match="trial and idx ids must fit in int64"):
             Records.from_rows([row])
 
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            pytest.param("is_real", [0.7, 2], id="is_real-float"),
+            pytest.param("is_real", [1, 0], id="is_real-int"),
+            pytest.param("re", [0.1 + 1j, -0.3], id="re-complex"),
+            pytest.param("im", np.array([0.2j, 0.0]), id="im-complex"),
+            pytest.param("residual", [1e-15j, 1e-15], id="residual-complex"),
+            pytest.param("ipr", {3: [1.5 + 2j, 9.0]}, id="ipr-complex"),
+            pytest.param("re", [True, False], id="re-bool"),
+            pytest.param("trial", [True, 0], id="trial-bool-among-ints"),
+            pytest.param("idx", (0, np.True_), id="idx-bool-among-ints"),
+        ],
+    )
+    def test_column_of_another_kind_refused(self, column, values):
+        # A realness is never read from a number, a complex value never loses its imaginary part,
+        # and a bool id is refused even when numpy types it as an int among the list's ints.
+        label = "ipr\\[3\\]" if column == "ipr" else column
+        with pytest.raises(ValueError, match=f"got column {label} of dtype"):
+            Records(**{**_COLUMNS, column: values})
+
     def test_orders_are_ascending_whole_numbers(self):
         with pytest.raises(ValueError, match="IPR order must be a whole number, got 2.5"):
             Records(**{**_COLUMNS, "ipr": {2.5: [1.0, 1.0]}})

@@ -512,6 +512,11 @@ class TestEmpiricalDist:
         with pytest.raises(ValueError):
             EmpiricalDist.from_samples([])
 
+    def test_sample_not_1d_rejected(self):
+        # A 2-D sample would be sorted row by row, and ks_distance would fail to broadcast over it.
+        with pytest.raises(ValueError, match="1-D"):
+            EmpiricalDist.from_samples([[0.9, 0.1], [0.2, 0.8]])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # A NaN would sort last and read as F = 0 there, setting the KS distance to 1.
@@ -599,16 +604,25 @@ class TestSkipPolicy:
     def test_run_error_above_one_percent_skips(self, monkeypatch):
         import eigipr.experiments as exp
 
+        full = spectrum_ipr_map(elliptic_config(20, 0.0, 200, seed=1))
+        # One failed trial of 200 is under the limit: the run's one table is the full one without its rows.
+        expected = Records.from_rows([rec for rec in full if rec.trial_id != 37])
+        assert 0 < len(expected) < len(full)
         real_run = exp._run_trial
+        failing = None
 
         def flaky(config, trial):
-            if trial == 0:
+            if trial == failing:
                 raise np.linalg.LinAlgError("induced failure")
             return real_run(config, trial)
 
         monkeypatch.setattr(exp, "_run_trial", flaky)
-        with pytest.raises(exp.RunError):
-            spectrum_ipr_map(elliptic_config(20, 0.0, 10, seed=1))
+        for workers in (1, 2):
+            failing = 0
+            with pytest.raises(exp.RunError):
+                spectrum_ipr_map(elliptic_config(20, 0.0, 10, seed=1, workers=workers))
+            failing = 37
+            assert spectrum_ipr_map(elliptic_config(20, 0.0, 200, seed=1, workers=workers)) == expected
 
     def test_nan_residual_skips_trial(self, monkeypatch, caplog):
         real_eig = np.linalg.eig
