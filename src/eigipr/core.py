@@ -71,17 +71,20 @@ _ID = (np.int64, "iu", "trial and idx ids must fit in int64 and not be bools")
 _FLOAT = (np.float64, "iuf", "re, im, residual and ipr values must be integers or floats")
 _BOOL = (np.bool_, "b", "is_real values must be bools")
 _DTYPES = {"trial": _ID, "idx": _ID, "re": _FLOAT, "im": _FLOAT, "is_real": _BOOL, "residual": _FLOAT, "ipr": _FLOAT}
+_BOOLS = frozenset({bool, np.bool_})
 
 
 def _typed(label, values, dtype, kinds, rule):
-    """``values`` as a column of ``dtype``, uncopied when it has it; `ValueError` stating ``rule`` otherwise."""
+    """``values`` as a 1-D column of ``dtype``, uncopied when it has it; `ValueError` naming ``label`` otherwise."""
     col = np.asarray(values)
+    if col.ndim != 1:
+        raise ValueError(f"record columns must be 1-D, got column {label} of shape {col.shape}")
     kind = col.dtype.kind
-    # numpy types a list as a whole, so an id list holding a bool counts as a bool column; no id is wrapped past int64.
-    if dtype is np.int64 and isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
-        kind = "b"
-    if col.size and (kind not in kinds or dtype is np.int64 and kind == "u" and col.max() >= 2**63):
-        raise ValueError(f"{rule}, got column {label} of dtype {col.dtype}")
+    # numpy types a list as a whole, so a bool among a list's numbers would pass as a number; no id is wrapped past int64.
+    types = set(map(type, values)) if isinstance(values, (list, tuple)) else set()
+    mixed = not _BOOLS.isdisjoint(types) and not types <= _BOOLS
+    if col.size and (mixed or kind not in kinds or dtype is np.int64 and kind == "u" and col.max() >= 2**63):
+        raise ValueError(f"{rule}, got column {label} of dtype {col.dtype}" + " mixing bools and numbers" * mixed)
     return col.astype(dtype, copy=False)
 
 
@@ -98,9 +101,10 @@ class Records:
     float64, ``is_real`` bool, and ``ipr`` maps each order ``q``, strictly
     ascending, to a float64 column; a run builds one table.  The constructor
     types every column by one rule, keeping an array of its dtype uncopied,
-    and raises `ValueError` naming the column for ids that are not integers
-    in int64 (nor a bool among a list's ints), float columns that are not
-    integers or floats (complex, bool) and an ``is_real`` that is not bool;
+    and raises `ValueError` naming the column for a column that is not 1-D,
+    a list or tuple mixing bools with numbers, ids that are not integers in
+    int64, float columns that are not integers or floats (complex, bool)
+    and an ``is_real`` that is not bool;
     also for an order that is not a whole number >= 1, orders that do not
     ascend, and columns of unequal lengths.  Entry ``k`` of every column
     describes the same eigenvalue; iterating yields these entries as

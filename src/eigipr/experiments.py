@@ -52,9 +52,10 @@ VALID_ORDERS = frozenset(range(2, 9))
 # Entries per block of synthetic eigenvectors in `convergence_study`: enough
 # rows to spread numpy's per-call cost (at N = 1600 a block holds 10 rows),
 # few enough that a block's temporaries (256 KiB for the complex block, which
-# `schur._assemble` and `ipr` fill and reuse in place) stay in cache and
-# keep the study's peak heap under 0.8 MB.  Sizes compared in
-# BENCH_conv_block.json and BENCH_synthetic_blocks.json.
+# `schur._assemble` and `ipr` fill and reuse in place) stay in cache.  With
+# the next block's 256 KiB of Gaussians drawn meanwhile, the study's peak
+# heap at N = 4096 is 0.80 MB.  Sizes compared in BENCH_conv_block.json and
+# BENCH_synthetic_blocks.json, the overlap in BENCH_conv_pipeline.json.
 _BLOCK_ENTRIES = 16384
 
 # Eigenvector columns per panel of the residual product in `eig_right`: the
@@ -395,6 +396,14 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     standard deviation next to the exact finite-``N`` mean.  Vectors are
     drawn in blocks of ``max(1, _BLOCK_ENTRIES // N)`` rows, with the generator
     consumed and each IPR computed bit for bit as one vector at a time.
+
+    The calling thread draws each block's Gaussians while one helper thread,
+    started per call, orthonormalizes and assembles the block before it and
+    takes its IPRs: numpy's draws release the GIL, so the two overlap on a
+    second core.  At most one block is in flight, the helper drops a block's
+    draws once it is assembled, and the helper's exceptions are raised here.
+    The order of the draws and the arithmetic are those of one thread, so
+    the rows keep their bits.
     """
     n_list = [_count("matrix dimension N", n, 2) for n in n_list]
     if sorted(n_list) != n_list:
@@ -405,20 +414,41 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     # from Gram-Schmidt pairs without a second check.
     if st is None:
         targets = [theory.mean_ipr_depletion_finite_N(n, q, y, tau) for n in n_list]
+
+        def draw(n, size):
+            return schur._draw(n, rng, size)
+
+        def build(drawn):
+            return schur._build(*drawn, y, tau)[0]
+
     else:
         s, t = st
         targets = [theory.mean_ipr_finite_N(n, q, s, t) for n in n_list]
+
+        def draw(n, size):
+            return rng.standard_normal((size, 2, n))
+
+        def build(g):
+            return schur._assemble(s, t, *schur._gram_schmidt(g))
+
+    def fill(out, box):
+        # The box is emptied on the way into `build`, so the drawn block is freed once assembled.
+        out[:] = ipr(build(box.pop()), q)
+
+    samples = [np.empty(trials) for _ in n_list]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None
+        for n, vals in zip(n_list, samples):
+            step = max(1, _BLOCK_ENTRIES // n)
+            for k in range(0, trials, step):
+                box = [draw(n, min(step, trials - k))]
+                if pending is not None:
+                    pending.result()
+                pending = helper.submit(fill, vals[k : k + step], box)
+        if pending is not None:
+            pending.result()
     rows = []
-    for n, target in zip(n_list, targets):
-        vals = np.empty(trials)
-        step = max(1, _BLOCK_ENTRIES // n)
-        for k in range(0, trials, step):
-            size = min(step, trials - k)
-            if st is None:
-                vecs, _ = schur.synthetic_eigvec_sample(n, y, tau, rng, size=size)
-            else:
-                vecs = schur._assemble(s, t, *schur.sample_stiefel_pair(n, rng, size=size))
-            vals[k : k + size] = ipr(vecs, q)
+    for n, target, vals in zip(n_list, targets, samples):
         std = float(vals.std(ddof=1))
         rows.append(
             {

@@ -144,12 +144,31 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """
     n = _count("orthonormal pair dimension", n, 2)
     theory._check_y_tau(y, tau)
-    u = np.empty(1 if size is None else _count("size", size, 0))
-    g = np.empty((u.size, 2, n))
-    for k in range(u.size):
+    vec, S = _build(*_draw(n, rng, 1 if size is None else _count("size", size, 0)), y, tau)
+    return (vec[0], float(S[0])) if size is None else (vec, S)
+
+
+def _draw(n, rng, rows):
+    """The draw step of `synthetic_eigvec_sample`: each row's uniform for ``S``, then its ``(2, n)`` Gaussians.
+
+    Consumes the generator in stream order, row by row, and touches
+    nothing else, so the caller may run `_build` on an earlier block
+    meanwhile.  Returns the ``rows`` uniforms and the ``(rows, 2, n)`` block.
+    """
+    u = np.empty(rows)
+    g = np.empty((rows, 2, n))
+    for k in range(rows):
         u[k] = rng.random()
         rng.standard_normal(out=g[k])
+    return u, g
+
+
+def _build(u, g, y, tau):
+    """The build step of `synthetic_eigvec_sample`: the vectors and ``S`` of a `_draw` block.
+
+    Orthonormalizes ``g`` in place, so the block is spent; ``(y, tau)``
+    must already be checked.
+    """
     S = theory._S_from_uniform(u, y, tau)
     s, t = st_from_S(S)
-    vec = _assemble(s[:, None], t[:, None], *_gram_schmidt(g))
-    return (vec[0], float(S[0])) if size is None else (vec, S)
+    return _assemble(s[:, None], t[:, None], *_gram_schmidt(g)), S

@@ -381,14 +381,28 @@ class TestRecordsConstructor:
             pytest.param("re", [True, False], id="re-bool"),
             pytest.param("trial", [True, 0], id="trial-bool-among-ints"),
             pytest.param("idx", (0, np.True_), id="idx-bool-among-ints"),
+            pytest.param("re", [True, 1.5], id="re-bool-among-floats"),
+            pytest.param("residual", (1e-15, np.False_), id="residual-bool-among-floats"),
+            pytest.param("ipr", {3: [1.5, True]}, id="ipr-bool-among-floats"),
+            pytest.param("im", [1, False], id="im-bool-among-ints"),
         ],
     )
     def test_column_of_another_kind_refused(self, column, values):
         # A realness is never read from a number, a complex value never loses its imaginary part,
-        # and a bool id is refused even when numpy types it as an int among the list's ints.
+        # and a bool is refused even when numpy types it as a number among the list's numbers.
         label = "ipr\\[3\\]" if column == "ipr" else column
         with pytest.raises(ValueError, match=f"got column {label} of dtype"):
             Records(**{**_COLUMNS, column: values})
+
+    @pytest.mark.parametrize("column", ["trial", "idx", "re", "im", "is_real", "residual", "ipr"])
+    @pytest.mark.parametrize("shape", ["scalar", "nested", "2-D"])
+    def test_column_not_1d_refused(self, column, shape):
+        # A table of length 2 whose column holds 2 x 2 values, or a scalar with no length, is no table.
+        values = _COLUMNS[column][3] if column == "ipr" else _COLUMNS[column]
+        bad = {"scalar": values[0], "nested": [values, values], "2-D": np.array([values, values]).T}[shape]
+        label = "ipr\\[3\\]" if column == "ipr" else column
+        with pytest.raises(ValueError, match=f"record columns must be 1-D, got column {label} of shape"):
+            Records(**{**_COLUMNS, column: {3: bad} if column == "ipr" else bad})
 
     def test_orders_are_ascending_whole_numbers(self):
         with pytest.raises(ValueError, match="IPR order must be a whole number, got 2.5"):

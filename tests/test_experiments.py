@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -542,6 +543,12 @@ class TestConvergenceStudy:
             assert row["theory_mean"] == pytest.approx(target, rel=1e-10)
             assert abs(row["mean"] - target) < 3 * row["stderr"]
 
+    def test_no_dimensions_give_no_rows(self):
+        rng = np.random.default_rng(37)
+        state = rng.bit_generator.state
+        assert convergence_study(2, 0.5, 0.0, [], 10, rng) == []
+        assert rng.bit_generator.state == state
+
     def test_rejects_unsorted_dimensions(self):
         rng = np.random.default_rng(37)
         with pytest.raises(ValueError):
@@ -598,6 +605,47 @@ class TestConvergenceStudy:
         finally:
             tracemalloc.stop()
         assert peak < 900_000
+
+    @pytest.mark.parametrize("st", [None, (0.8, 0.6)], ids=["None", "st"])
+    def test_rows_match_under_frequent_thread_switches(self, st):
+        # The helper builds one block while the caller draws the next; switching
+        # threads every microsecond must still give the one-thread bits.
+        n_list = [17, 100, _BLOCK_ENTRIES // 2]
+        rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = convergence_study(3, 0.7, 0.3, n_list, 201, rng, st=st)
+        finally:
+            sys.setswitchinterval(interval)
+        want = ref.convergence_study(3, 0.7, 0.3, n_list, 201, ref_rng, st=st)
+        assert json.dumps(rows) == json.dumps(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("st", [None, (0.8, 0.6)], ids=["None", "st"])
+    def test_helper_exception_reaches_the_caller(self, monkeypatch, st):
+        # The blocks are built off the calling thread; a failure there must
+        # surface here, and the helper thread must be gone either way.
+        import eigipr.schur as schur
+
+        threads = threading.active_count()
+        n_list = [_BLOCK_ENTRIES // 2]  # 2-row blocks: 5 blocks for 10 trials
+        convergence_study(2, 0.5, 0.0, n_list, 10, np.random.default_rng(42), st=st)
+        assert threading.active_count() == threads
+        real = schur._gram_schmidt
+        builders = []
+
+        def fail_on_second_block(g):
+            builders.append(threading.get_ident())
+            if len(builders) == 2:
+                raise ArithmeticError("induced failure in block 2")
+            return real(g)
+
+        monkeypatch.setattr(schur, "_gram_schmidt", fail_on_second_block)
+        with pytest.raises(ArithmeticError, match="induced failure in block 2"):
+            convergence_study(2, 0.5, 0.0, n_list, 10, np.random.default_rng(42), st=st)
+        assert len(builders) == 2 and threading.get_ident() not in builders
+        assert threading.active_count() == threads
 
 
 class TestSkipPolicy:
