@@ -397,7 +397,9 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     drawn in blocks of ``max(1, _BLOCK_ENTRIES // N)`` rows, with the generator
     consumed and each IPR computed bit for bit as one vector at a time.
 
-    The calling thread draws each block's Gaussians while one helper thread,
+    The calling thread draws each block's Gaussians, one generator call per
+    block in both modes (each vector's ``S`` comes from the norm of its
+    first Gaussian, not from a draw of its own), while one helper thread,
     started per call, orthonormalizes and assembles the block before it and
     takes its IPRs: numpy's draws release the GIL, so the two overlap on a
     second core.  At most one block is in flight, the helper drops a block's
@@ -415,21 +417,16 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
     if st is None:
         targets = [theory.mean_ipr_depletion_finite_N(n, q, y, tau) for n in n_list]
 
-        def draw(n, size):
-            return schur._draw(n, rng, size)
-
-        def build(drawn):
-            return schur._build(*drawn, y, tau)[0]
+        def build(g):
+            return schur._build(g, y, tau)[0]
 
     else:
         s, t = st
         targets = [theory.mean_ipr_finite_N(n, q, s, t) for n in n_list]
 
-        def draw(n, size):
-            return rng.standard_normal((size, 2, n))
-
         def build(g):
-            return schur._assemble(s, t, *schur._gram_schmidt(g))
+            o1, o2, _ = schur._gram_schmidt(g)
+            return schur._assemble(s, t, o1, o2)
 
     def fill(out, box):
         # The box is emptied on the way into `build`, so the drawn block is freed once assembled.
@@ -441,7 +438,7 @@ def convergence_study(q, y, tau, n_list, trials, rng, st=None):
         for n, vals in zip(n_list, samples):
             step = max(1, _BLOCK_ENTRIES // n)
             for k in range(0, trials, step):
-                box = [draw(n, min(step, trials - k))]
+                box = [schur._draw(n, rng, min(step, trials - k))]
                 if pending is not None:
                     pending.result()
                 pending = helper.submit(fill, vals[k : k + step], box)

@@ -58,14 +58,17 @@ def _rowdot(a, b):
 def _gram_schmidt(g):
     """Orthonormal pair ``(O1, O2)`` from each ``(2, n)`` row of a Gaussian block, in place.
 
-    Returns the views ``g[:, 0]`` and ``g[:, 1]``; in-place arithmetic keeps
-    the bits of the out-of-place expressions and allocates no new block.
+    Returns the views ``g[:, 0]`` and ``g[:, 1]``, and the squared norm
+    ``|g1|**2`` of each row's first Gaussian, which `_build` turns into
+    ``S``; in-place arithmetic keeps the bits of the out-of-place
+    expressions and allocates no new block.
     """
     o1, o2 = g[:, 0], g[:, 1]
-    o1 /= np.sqrt(_rowdot(o1, o1))[:, None]
+    r2 = _rowdot(o1, o1)
+    o1 /= np.sqrt(r2)[:, None]
     o2 -= _rowdot(o1, o2)[:, None] * o1
     o2 /= np.sqrt(_rowdot(o2, o2))[:, None]
-    return o1, o2
+    return o1, o2, r2
 
 
 def sample_stiefel_pair(n, rng, size=None):
@@ -73,14 +76,12 @@ def sample_stiefel_pair(n, rng, size=None):
 
     Gram-Schmidt applied to two iid standard Gaussian vectors.  With
     ``size`` given, returns ``size`` independent pairs as two ``(size, n)``
-    arrays, one pair per row.  The Gaussians come from one
-    ``standard_normal((size, 2, n))`` call, which consumes the generator as
-    ``size`` sequential calls do, so row ``k`` has the bits of the ``k``-th
-    of ``size`` calls without ``size``.
+    arrays, one pair per row.  The Gaussians come from one `_draw` call,
+    which consumes the generator as ``size`` sequential calls do, so row
+    ``k`` has the bits of the ``k``-th of ``size`` calls without ``size``.
     """
     n = _count("orthonormal pair dimension", n, 2)
-    rows = 1 if size is None else _count("size", size, 0)
-    o1, o2 = _gram_schmidt(rng.standard_normal((rows, 2, n)))
+    o1, o2, _ = _gram_schmidt(_draw(n, rng, 1 if size is None else _count("size", size, 0)))
     return (o1[0], o2[0]) if size is None else (o1, o2)
 
 
@@ -127,14 +128,15 @@ def _assemble(s, t, o1, o2):
 def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """Sample an eigenvector with the law conditioned on ``lam = x + i y / sqrt(N)``.
 
-    Draws the scale parameter ``S`` by inverse transform from one uniform,
-    converts it to mixing amplitudes, draws a uniform orthonormal pair, and
+    Draws two standard Gaussian vectors ``g1, g2``, orthonormalizes them
+    into a uniform pair ``(O1, O2)``, takes the scale parameter ``S`` from
+    the norm of ``g1`` (see `_build`), converts it to mixing amplitudes and
     assembles ``i*s*O1 + t*O2``.  With ``size`` given, draws ``size``
-    independent vectors as one ``(size, n)`` block.  The generator is
-    consumed as by ``size`` sequential calls (the uniform for ``S``, then the
-    pair's Gaussians, for each row in turn), and row ``k`` has the bits of
-    the ``k``-th such call.  ``n``, ``y`` and ``tau`` are checked before the
-    first draw.
+    independent vectors as one ``(size, n)`` block.  Each vector takes
+    exactly its ``2n`` Gaussians from the generator and nothing else, so a
+    block consumes it as ``size`` sequential calls do, and row ``k`` has
+    the bits of the ``k``-th such call.  ``n``, ``y`` and ``tau`` are
+    checked before the first draw.
 
     Returns
     -------
@@ -144,31 +146,52 @@ def synthetic_eigvec_sample(n, y, tau, rng, size=None):
     """
     n = _count("orthonormal pair dimension", n, 2)
     theory._check_y_tau(y, tau)
-    vec, S = _build(*_draw(n, rng, 1 if size is None else _count("size", size, 0)), y, tau)
+    vec, S = _build(_draw(n, rng, 1 if size is None else _count("size", size, 0)), y, tau)
     return (vec[0], float(S[0])) if size is None else (vec, S)
 
 
 def _draw(n, rng, rows):
-    """The draw step of `synthetic_eigvec_sample`: each row's uniform for ``S``, then its ``(2, n)`` Gaussians.
+    """The draw step of the samplers: one ``standard_normal((rows, 2, n))`` block, row ``k`` holding ``(g1, g2)``.
 
-    Consumes the generator in stream order, row by row, and touches
-    nothing else, so the caller may run `_build` on an earlier block
-    meanwhile.  Returns the ``rows`` uniforms and the ``(rows, 2, n)`` block.
+    numpy fills it in order, so it consumes the generator as ``rows``
+    one-row draws do.  It touches nothing else, so the caller may run
+    `_build` on an earlier block meanwhile.
     """
-    u = np.empty(rows)
-    g = np.empty((rows, 2, n))
-    for k in range(rows):
-        u[k] = rng.random()
-        rng.standard_normal(out=g[k])
-    return u, g
+    return rng.standard_normal((rows, 2, n))
 
 
-def _build(u, g, y, tau):
+def _log_chi2_survival(n, r2):
+    """``log P(X > r2)`` for ``X`` chi-squared with ``n`` degrees of freedom, elementwise.
+
+    The survival is the regularized upper incomplete gamma ``Q(n/2, r2/2)``.
+    Where the lower tail ``P = 1 - Q`` is below 1/2 the log is taken as
+    ``log1p(-P)``, which keeps full precision as ``Q -> 1``; elsewhere as
+    ``log(Q)``, which keeps it as ``Q -> 0``.
+    """
+    from scipy.special import gammainc, gammaincc
+
+    a, x = 0.5 * n, 0.5 * r2
+    lower = gammainc(a, x)
+    low = lower < 0.5
+    out = np.empty_like(lower)
+    out[low] = np.log1p(-lower[low])
+    out[~low] = np.log(gammaincc(a, x[~low]))
+    return out
+
+
+def _build(g, y, tau):
     """The build step of `synthetic_eigvec_sample`: the vectors and ``S`` of a `_draw` block.
 
-    Orthonormalizes ``g`` in place, so the block is spent; ``(y, tau)``
-    must already be checked.
+    ``|g1|**2`` is chi-squared with ``n`` degrees of freedom and independent
+    of the pair ``(O1, O2)``: a Gaussian's norm is independent of its
+    direction, and ``O2`` depends only on ``O1`` and ``g2``.  So its
+    survival probability ``p`` is an exact uniform independent of the pair,
+    and the inverse survival function of ``S`` at ``p`` has exactly the law
+    of ``S``.  ``|g1|**2`` is the one `_gram_schmidt` computes for its first
+    division.  Orthonormalizes ``g`` in place, so the block is spent;
+    ``(y, tau)`` must already be checked.
     """
-    S = theory._S_from_uniform(u, y, tau)
+    o1, o2, r2 = _gram_schmidt(g)
+    S = theory._S_from_log_survival(_log_chi2_survival(g.shape[2], r2), y, tau)
     s, t = st_from_S(S)
-    return _assemble(s[:, None], t[:, None], *_gram_schmidt(g)), S
+    return _assemble(s[:, None], t[:, None], o1, o2), S

@@ -129,21 +129,15 @@ def _S_from_log_survival(log_p, y, tau):
     ``u = -sigma ndtri(p ndtr(-1/sigma))`` for the normal's scale ``sigma``,
     in logs (``ndtri_exp``, ``log_ndtr``) so it keeps full precision however
     close to ``S = 1`` the law crowds, and clamped at 1 against rounding.
+    The one map from survival probabilities to ``S``: `sample_S`,
+    `schur.synthetic_eigvec_sample` and `mean_ipr_depletion_finite_N` all
+    go through it.
     """
     from scipy.special import log_ndtr, ndtri_exp
 
     # Scale of the normal whose restriction to (1, oo) is the law of S.
     sigma = math.sqrt(1.0 - tau * tau) / (2.0 * y)
     return np.maximum(-sigma * ndtri_exp(log_p + log_ndtr(-1.0 / sigma)), 1.0)
-
-
-def _S_from_uniform(u, y, tau):
-    """``S`` at an array of ``rng.random()`` values ``u``: the one map from uniforms to ``S``.
-
-    Shared by `sample_S` and `schur.synthetic_eigvec_sample`, which check
-    ``(y, tau)`` before they draw.
-    """
-    return _S_from_log_survival(np.log1p(-u), y, tau)
 
 
 def sample_S(y, tau, rng, size=None):
@@ -166,7 +160,8 @@ def sample_S(y, tau, rng, size=None):
         Number of samples; a bare float is returned when omitted.
     """
     _check_y_tau(y, tau)
-    S = _S_from_uniform(rng.random(1 if size is None else _count("size", size, 0)), y, tau)
+    u = rng.random(1 if size is None else _count("size", size, 0))
+    S = _S_from_log_survival(np.log1p(-u), y, tau)
     return float(S[0]) if size is None else S
 
 

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pervector_reference as ref
 import pytest
+from scipy.stats import kstest
 
 from eigipr import (
+    cdf_S,
     eigvec_from_block,
     ipr,
     mean_ipr_depletion_finite_N,
+    mean_ipr_finite_N,
     sample_haar_orthogonal,
     sample_stiefel_pair,
     schur,
@@ -283,6 +286,56 @@ class TestSyntheticEigvec:
             assert rng.bit_generator.state == state
 
 
+def _pit_pvalue(n, y, tau):
+    # KS p-value of cdf_S(S) against the uniform law, over 40000 vectors.
+    rng = np.random.default_rng([n, round(10 * y), round(10 * tau)])
+    _, S = synthetic_eigvec_sample(n, y, tau, rng, size=40_000)
+    return kstest(cdf_S(S, y, tau), "uniform").pvalue
+
+
+def _quartile_z(n, vecs, S):
+    # z of the mean residual ipr(v, 2) - E[ipr | S] in each quartile of S.
+    s, t = st_from_S(S)
+    resid = ipr(vecs, 2) - np.array([mean_ipr_finite_N(n, 2, a, b) for a, b in zip(s, t)])
+    quartile = np.searchsorted(np.quantile(S, [0.25, 0.5, 0.75]), S, side="right")
+    parts = [resid[quartile == k] for k in range(4)]
+    return np.array([r.mean() / (r.std(ddof=1) / math.sqrt(r.size)) for r in parts])
+
+
+class TestExactScaleParameter:
+    """``S`` from the chi-squared survival of ``|g1|**2`` has the law of ``S`` and is independent of the frame."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("y", [0.2, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 100])
+    def test_pit_is_uniform(self, n, y, tau):
+        assert _pit_pvalue(n, y, tau) > 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 100])
+    def test_pit_refuses_one_degree_of_freedom_too_few(self, monkeypatch, n):
+        # |g1|**2 read as chi-squared with N - 1 degrees of freedom: a wrong
+        # law of S, which the PIT must catch at every N, even at N = 100.
+        real = schur._log_chi2_survival
+        monkeypatch.setattr(schur, "_log_chi2_survival", lambda dof, r2: real(dof - 1, r2))
+        assert _pit_pvalue(n, 1.0, 0.5) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_independent_of_the_frame(self, n):
+        # Given S, the mean IPR over Haar frames is mean_ipr_finite_N(N, 2, s, t),
+        # so the residuals have mean 0 in every quartile of S.  The control keeps
+        # the same S values and frames but hands the largest S to the frames of
+        # the largest IPR: S keeps its law and loses its independence.
+        rng = np.random.default_rng([n, 5])
+        vecs, S = synthetic_eigvec_sample(n, 0.5, 0.0, rng, size=100_000)
+        assert np.abs(_quartile_z(n, vecs, S)).max() < 5
+        s, t = st_from_S(S)
+        o1, o2 = vecs.imag / s[:, None], vecs.real / t[:, None]
+        ranked = np.empty_like(S)
+        ranked[np.argsort(ipr(vecs, 2))] = np.sort(S)
+        s, t = st_from_S(ranked)
+        assert np.abs(_quartile_z(n, eigvec_from_block(s, t, o1, o2), ranked)).max() > 20
+
+
 # The sizes are one row, a prime, and 201, which is not a multiple of the 81
 # rows that `convergence_study` draws per block at N=100.
 BLOCK_NS = (2, 3, 17, 100, 400, 1600)
@@ -324,8 +377,8 @@ class TestBlockMatchesPerVector:
     @pytest.mark.parametrize("tau", [0.0, 0.99])
     @pytest.mark.parametrize("y", [0.02, 0.2, 1.0, 300.0])
     def test_block_equals_one_vector_calls(self, y, tau, size):
-        # The block's uniforms go through log1p as one array of `size`
-        # values, each one-vector call's as an array of one.
+        # The block's chi-squared survivals and their logs are taken as one
+        # array of `size` values, each one-vector call's as an array of one.
         rng, one_rng = np.random.default_rng(size), np.random.default_rng(size)
         vecs, S = synthetic_eigvec_sample(4, y, tau, rng, size=size)
         want = [synthetic_eigvec_sample(4, y, tau, one_rng) for _ in range(size)]
